@@ -1,24 +1,19 @@
 // Reproduces Table 1 (condensed C-DUP vs fully expanded EXP extraction)
 // and measures the extraction pipeline itself: the legacy serial
 // row-at-a-time interpreter versus the parallel columnar pipeline
-// (selection vectors, partitioned hash join, fused morsel-driven
-// join→DISTINCT, typed-key graph assembly), on the four evaluation
-// schemas. The columnar engine is additionally timed with the fused
-// join→DISTINCT pipeline forced on and forced off.
+// (selection vectors, partitioned hash join, typed-key graph assembly),
+// on the four evaluation schemas.
 //
 // For every workload the harness also *proves* parity: the output of the
-// parallel pipeline — under the adaptive default, with fusion forced,
-// and with fusion disabled — must be bitwise-identical to the serial
-// baseline (node ids, condensed adjacency in stored order, properties),
-// else the process exits non-zero. In --smoke mode the harness further
-// fails if the forced-fused path regresses more than 20% (geomean) below
-// the unfused operator chain — the CI regression gate for optimized
-// builds.
+// parallel pipeline must be bitwise-identical to the serial baseline
+// (node ids, condensed adjacency in stored order, properties), else the
+// process exits non-zero.
 //
 // Writes a JSON summary (default BENCH_extraction.json, override with
-// --out=<path>). --smoke shrinks the datasets and runs one iteration,
-// and additionally gates the robustness plumbing (cancellation polls,
-// deadline checks, disarmed fault points) at < 1% overhead.
+// --out=<path>). --smoke shrinks the datasets and additionally gates the
+// flight recorder at < 3% + 1ms and the robustness plumbing
+// (cancellation polls, deadline checks, disarmed fault points) at
+// < 1% + 1ms overhead, both on the default columnar path.
 // --cancel-at-ms=N skips the benchmark and probes mid-flight
 // cancellation latency instead.
 
@@ -54,9 +49,7 @@ struct WorkloadRow {
   uint64_t condensed_edges = 0;
   uint64_t full_edges = 0;
   bench::RepeatStats serial;    // row-at-a-time interpreter, 1 thread
-  bench::RepeatStats parallel;  // columnar (adaptive fusion), hw threads
-  bench::RepeatStats fused;     // columnar, join→DISTINCT fusion forced on
-  bench::RepeatStats unfused;   // columnar, unfused operator chain
+  bench::RepeatStats parallel;  // columnar pipeline, hw threads
   // Top-level extraction stages (nodes/edges/preprocess) of one profiled
   // parallel run, from the flight recorder's QueryProfile.
   std::vector<std::pair<std::string, double>> stage_ms;
@@ -64,17 +57,12 @@ struct WorkloadRow {
   double Speedup() const {
     return parallel.median_ms > 0 ? serial.median_ms / parallel.median_ms : 0;
   }
-  double FusedVsUnfused() const {
-    return fused.median_ms > 0 ? unfused.median_ms / fused.median_ms : 0;
-  }
 };
 
 // Engine configurations measured per workload.
 enum class Mode {
   kSerial,    // row-at-a-time interpreter, 1 thread (the oracle)
-  kParallel,  // columnar, adaptive join→DISTINCT fusion (the default)
-  kFused,     // columnar, fusion forced for any output size
-  kUnfused,   // columnar, fusion disabled (classic operator chain)
+  kParallel,  // columnar pipeline, hardware threads (the default)
 };
 
 // End-to-end extraction (both policies, like an analyst extracting the
@@ -86,8 +74,6 @@ planner::ExtractOptions MakeOpts(double factor, Mode mode) {
   opts.threads = mode == Mode::kSerial ? 1 : 0;
   opts.engine = mode == Mode::kSerial ? query::ExecEngine::kRowAtATime
                                       : query::ExecEngine::kColumnar;
-  opts.fuse_join_distinct = mode != Mode::kUnfused;
-  if (mode == Mode::kFused) opts.fuse_min_output_bytes = 0;
   return opts;
 }
 
@@ -99,8 +85,7 @@ bool RunWorkload(const std::string& name, const gen::GeneratedDatabase& data,
     row.input_rows += data.db.GetTable(t).ValueOrDie()->NumRows();
   }
 
-  // Parity first (also warms caches): every policy, serial vs every
-  // columnar fusion mode — the fused pipeline must be indistinguishable.
+  // Parity first (also warms caches): every policy, serial vs columnar.
   for (double factor : {0.0, 1e18}) {
     auto serial = planner::ExtractFromQuery(data.db, data.datalog,
                                             MakeOpts(factor, Mode::kSerial));
@@ -109,21 +94,18 @@ bool RunWorkload(const std::string& name, const gen::GeneratedDatabase& data,
                   serial.status().ToString().c_str());
       return false;
     }
-    for (Mode mode : {Mode::kParallel, Mode::kFused, Mode::kUnfused}) {
-      auto got = planner::ExtractFromQuery(data.db, data.datalog,
-                                           MakeOpts(factor, mode));
-      if (!got.ok()) {
-        std::printf("%-8s extraction failed: %s\n", name.c_str(),
-                    got.status().ToString().c_str());
-        return false;
-      }
-      std::string diff = planner::DiffExtraction(*serial, *got);
-      if (!diff.empty()) {
-        std::printf("%-8s PARITY FAILURE (factor %g, mode %d): %s\n",
-                    name.c_str(), factor, static_cast<int>(mode),
-                    diff.c_str());
-        row.parity = false;
-      }
+    auto got = planner::ExtractFromQuery(data.db, data.datalog,
+                                         MakeOpts(factor, Mode::kParallel));
+    if (!got.ok()) {
+      std::printf("%-8s extraction failed: %s\n", name.c_str(),
+                  got.status().ToString().c_str());
+      return false;
+    }
+    std::string diff = planner::DiffExtraction(*serial, *got);
+    if (!diff.empty()) {
+      std::printf("%-8s PARITY FAILURE (factor %g): %s\n", name.c_str(),
+                  factor, diff.c_str());
+      row.parity = false;
     }
     if (factor == 0.0) {
       row.condensed_edges = serial->condensed_edges;
@@ -141,8 +123,6 @@ bool RunWorkload(const std::string& name, const gen::GeneratedDatabase& data,
   };
   row.serial = bench::Repeat(iters, [&] { run_both(Mode::kSerial); });
   row.parallel = bench::Repeat(iters, [&] { run_both(Mode::kParallel); });
-  row.fused = bench::Repeat(iters, [&] { run_both(Mode::kFused); });
-  row.unfused = bench::Repeat(iters, [&] { run_both(Mode::kUnfused); });
 
   // One profiled run feeds the per-stage breakdown in the JSON summary.
   if (obs::Enabled()) {
@@ -156,26 +136,27 @@ bool RunWorkload(const std::string& name, const gen::GeneratedDatabase& data,
   }
 
   std::printf("%-8s %9" PRIu64 " rows | C-DUP %10" PRIu64 " e | EXP %11" PRIu64
-              " e | serial %9.1fms | parallel %9.1fms | %5.2fx | fused %9.1fms"
-              " | unfused %9.1fms | %s\n",
+              " e | serial %9.1fms | parallel %9.1fms | %5.2fx | %s\n",
               name.c_str(), row.input_rows, row.condensed_edges,
               row.full_edges, row.serial.median_ms, row.parallel.median_ms,
-              row.Speedup(), row.fused.median_ms, row.unfused.median_ms,
-              row.parity ? "ok" : "PARITY FAIL");
+              row.Speedup(), row.parity ? "ok" : "PARITY FAIL");
   bool ok = row.parity;
   rows.push_back(std::move(row));
   return ok;
 }
 
 // --cancel-at-ms=N: measures cooperative-cancellation latency instead of
-// throughput. A deliberately heavy co-enrollment self-join (~1.6e9
-// candidate pairs, several seconds uncancelled) is cancelled N ms after it
-// starts; the harness reports how long the pipeline took to unwind after
-// the flag was raised — the morsel-poll quantum made observable.
+// throughput. A condensed (factor 0.0) co-enrollment extraction over 400K
+// enrollment rows is cancelled N ms after it starts; the harness reports
+// how long the pipeline took to unwind after the flag was raised — the
+// poll quantum made observable. Condensed at the course boundary, the
+// rule runs scans and virtual-node assembly, no join; uncancelled it
+// finishes in ~0.2-0.3 s at ~52 MB peak RSS (4-core x86-64, Release), so
+// N must stay well below that to land mid-flight.
 int RunCancelProbe(double cancel_at_ms) {
   std::printf("cancellation-latency probe (cancel at %.1fms)\n", cancel_at_ms);
   gen::GeneratedDatabase data = gen::MakeUniversity(10000, 40, 100, 40.0);
-  planner::ExtractOptions opts = MakeOpts(0.0, Mode::kFused);
+  planner::ExtractOptions opts = MakeOpts(0.0, Mode::kParallel);
   opts.ctx.cancel = CancelToken::Cancellable();
   CancelToken token = opts.ctx.cancel;
 
@@ -240,8 +221,8 @@ int main(int argc, char** argv) {
   }
   if (cancel_at_ms >= 0) return graphgen::RunCancelProbe(cancel_at_ms);
   const double s = smoke ? 0.05 : graphgen::bench::BenchScale();
-  // Smoke runs are sub-50ms per mode, so the repeat-of-3 default that
-  // stabilizes the fused-vs-unfused regression gate costs almost nothing.
+  // Smoke runs are sub-50ms per mode, so the repeat-of-3 default costs
+  // almost nothing there.
   const int iters = graphgen::bench::ParseRepeat(argc, argv, 3);
 
   graphgen::bench::PrintHeader(
@@ -276,44 +257,22 @@ int main(int argc, char** argv) {
       iters, rows);
 
   double geo = 1.0;
-  double fuse_geo = 1.0;
   size_t counted = 0;
-  size_t fuse_counted = 0;
   for (const auto& r : rows) {
     if (r.Speedup() > 0) {
       geo *= r.Speedup();
       ++counted;
     }
-    if (r.FusedVsUnfused() > 0) {
-      fuse_geo *= r.FusedVsUnfused();
-      ++fuse_counted;
-    }
   }
   geo = counted > 0 ? std::pow(geo, 1.0 / static_cast<double>(counted)) : 0.0;
-  fuse_geo = fuse_counted > 0
-                 ? std::pow(fuse_geo, 1.0 / static_cast<double>(fuse_counted))
-                 : 0.0;
   std::printf("\ngeometric-mean extraction speedup: %.2fx (%zu workloads)\n",
               geo, counted);
-  std::printf("geometric-mean fused vs unfused: %.2fx\n", fuse_geo);
   std::printf(
       "Paper shape check: EXP >> C-DUP everywhere; TPCH/UNIV show the\n"
       "space explosion (dense co-purchase / co-enrollment cliques).\n");
 
-  // Smoke regression gate: the forced-fused pipeline must stay within 20%
-  // of the unfused operator chain (geomean) — a divergence-from-oracle
-  // failure is caught by the parity checks above.
-  bool fuse_regressed = false;
-  if (smoke && fuse_counted > 0 && fuse_geo < 1.0 / 1.2) {
-    std::fprintf(stderr,
-                 "FAIL: fused join->DISTINCT geomean %.2fx is more than 20%% "
-                 "slower than the unfused chain on the smoke workloads\n",
-                 fuse_geo);
-    fuse_regressed = true;
-  }
-
   // Smoke observability gate: the flight recorder (spans, histograms,
-  // profile trees) must cost < 3% on the fused extraction path. Counters
+  // profile trees) must cost < 3% on the default extraction path. Counters
   // always record, so the toggle isolates exactly the instrumentation
   // that GRAPHGEN_OBS_OFF disables. Min-of-N on both sides rejects
   // scheduler noise; the absolute slack keeps the gate meaningful when 3%
@@ -321,20 +280,20 @@ int main(int argc, char** argv) {
   bool obs_regressed = false;
   if (smoke) {
     const int gate_iters = 15;
-    auto fused_once = [&] {
+    auto extract_once = [&] {
       (void)graphgen::planner::ExtractFromQuery(
           dblp.db, dblp.datalog,
-          graphgen::MakeOpts(1e18, graphgen::Mode::kFused));
+          graphgen::MakeOpts(1e18, graphgen::Mode::kParallel));
     };
     const bool was_enabled = graphgen::obs::Enabled();
     graphgen::obs::SetEnabled(true);
-    const double min_on = graphgen::bench::MinMs(gate_iters, fused_once);
+    const double min_on = graphgen::bench::MinMs(gate_iters, extract_once);
     graphgen::obs::SetEnabled(false);
-    const double min_off = graphgen::bench::MinMs(gate_iters, fused_once);
+    const double min_off = graphgen::bench::MinMs(gate_iters, extract_once);
     graphgen::obs::SetEnabled(was_enabled);
     const double limit = min_off * 1.03 + 1.0;
     std::printf(
-        "\nobservability overhead (fused path, min of %d): on %.2fms, "
+        "\nobservability overhead (default path, min of %d): on %.2fms, "
         "off %.2fms, limit %.2fms\n",
         gate_iters, min_on, min_off, limit);
     if (min_on > limit) {
@@ -347,7 +306,7 @@ int main(int argc, char** argv) {
   }
 
   // Smoke robustness gate: the cancellation/deadline/budget plumbing and
-  // the disarmed fault points must together cost < 1% on the fused path.
+  // the disarmed fault points must together cost < 1% on the default path.
   // "Armed" here means the worst no-fault case: every registered point
   // armed at a probability that rounds to zero ppm (Fire() runs, nothing
   // fires) plus a live cancel token and a far deadline, so every strided
@@ -363,7 +322,7 @@ int main(int argc, char** argv) {
     const double min_plain = graphgen::bench::MinMs(gate_iters, [&] {
       (void)graphgen::planner::ExtractFromQuery(
           dblp.db, dblp.datalog,
-          graphgen::MakeOpts(1e18, graphgen::Mode::kFused));
+          graphgen::MakeOpts(1e18, graphgen::Mode::kParallel));
     });
     graphgen::fault::FaultSpec never_fires;
     never_fires.probability = 1e-9;  // armed; rounds to 0 ppm
@@ -372,7 +331,7 @@ int main(int argc, char** argv) {
     }
     const double min_armed = graphgen::bench::MinMs(gate_iters, [&] {
       graphgen::planner::ExtractOptions opts =
-          graphgen::MakeOpts(1e18, graphgen::Mode::kFused);
+          graphgen::MakeOpts(1e18, graphgen::Mode::kParallel);
       opts.ctx.cancel = graphgen::CancelToken::Cancellable();
       opts.ctx.SetDeadlineAfter(3600.0);
       (void)graphgen::planner::ExtractFromQuery(dblp.db, dblp.datalog, opts);
@@ -380,7 +339,7 @@ int main(int argc, char** argv) {
     faults.DisarmAll();
     const double limit = min_plain * 1.01 + 1.0;
     std::printf(
-        "robustness overhead (fused path, min of %d): plain %.2fms, "
+        "robustness overhead (default path, min of %d): plain %.2fms, "
         "armed+ctx %.2fms, limit %.2fms\n",
         gate_iters, min_plain, min_armed, limit);
     if (min_armed > limit) {
@@ -400,8 +359,8 @@ int main(int argc, char** argv) {
     std::fprintf(
         f,
         "  \"serial\": \"row-at-a-time interpreter, 1 thread\",\n"
-        "  \"parallel\": \"columnar pipeline (adaptive fused "
-        "join->DISTINCT, typed-key assembly), hardware threads\",\n");
+        "  \"parallel\": \"columnar pipeline (partitioned hash join, "
+        "typed-key assembly), hardware threads\",\n");
     std::fprintf(f, "  \"repeat\": %d,\n", iters);
     std::fprintf(f, "  \"workloads\": [\n");
     for (size_t i = 0; i < rows.size(); ++i) {
@@ -410,16 +369,13 @@ int main(int argc, char** argv) {
                    "    {\"name\": \"%s\", \"input_rows\": %" PRIu64
                    ", \"condensed_edges\": %" PRIu64 ", \"full_edges\": %" PRIu64
                    ", \"serial_ms\": %.2f, \"parallel_ms\": %.2f, "
-                   "\"speedup\": %.2f, \"fused_ms\": %.2f, "
-                   "\"unfused_ms\": %.2f,\n     \"serial_min_ms\": %.2f, "
-                   "\"parallel_min_ms\": %.2f, \"fused_min_ms\": %.2f, "
-                   "\"unfused_min_ms\": %.2f, \"parity\": %s,\n"
+                   "\"speedup\": %.2f,\n     \"serial_min_ms\": %.2f, "
+                   "\"parallel_min_ms\": %.2f, \"parity\": %s,\n"
                    "     \"profile_stages_ms\": {",
                    r.name.c_str(), r.input_rows, r.condensed_edges,
                    r.full_edges, r.serial.median_ms, r.parallel.median_ms,
-                   r.Speedup(), r.fused.median_ms, r.unfused.median_ms,
-                   r.serial.min_ms, r.parallel.min_ms, r.fused.min_ms,
-                   r.unfused.min_ms, r.parity ? "true" : "false");
+                   r.Speedup(), r.serial.min_ms, r.parallel.min_ms,
+                   r.parity ? "true" : "false");
       for (size_t k = 0; k < r.stage_ms.size(); ++k) {
         std::fprintf(f, "%s\"%s\": %.3f", k > 0 ? ", " : "",
                      r.stage_ms[k].first.c_str(), r.stage_ms[k].second);
@@ -427,18 +383,15 @@ int main(int argc, char** argv) {
       std::fprintf(f, "}}%s\n", i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f,
-                 "  ],\n  \"geomean_speedup\": %.2f,\n"
-                 "  \"geomean_fused_vs_unfused\": %.2f\n}\n",
-                 geo, fuse_geo);
+                 "  ],\n  \"geomean_speedup\": %.2f\n}\n", geo);
     std::fclose(f);
     std::printf("JSON written to %s\n", out_path.c_str());
   }
 
-  if (!all_ok || fuse_regressed || obs_regressed || robust_regressed) {
+  if (!all_ok || obs_regressed || robust_regressed) {
     std::fprintf(stderr,
-                 "FAIL: extraction error, parity mismatch, fused-path, "
-                 "instrumentation, or robustness-plumbing regression (see "
-                 "lines above)\n");
+                 "FAIL: extraction error, parity mismatch, instrumentation, "
+                 "or robustness-plumbing regression (see lines above)\n");
     return 1;
   }
   return 0;

@@ -17,7 +17,7 @@ namespace graphgen::obs {
 /// ("hash_join", "nodes", ...), an optional human detail line (the SQL,
 /// the rule head), elapsed seconds, an output cardinality, plus free-form
 /// numeric stats ("build_rows", "load_factor") and string notes
-/// ("fused" -> "yes").
+/// ("build_side" -> "left").
 ///
 /// Children live in a std::deque so AddChild never invalidates pointers
 /// to existing siblings — the extractor pre-creates one child per query

@@ -47,8 +47,6 @@ std::vector<ExecOutput> RunPlans(
   const query::Executor executor(
       &db, {.threads = std::max<size_t>(1, budget / fan_out),
             .engine = options.engine,
-            .fuse_join_distinct = options.fuse_join_distinct,
-            .fuse_min_output_bytes = options.fuse_min_output_bytes,
             .ctx = options.ctx});
   std::vector<ExecOutput> outs(plans.size());
   // Per-plan profile slots are pre-created by the caller (deque children:

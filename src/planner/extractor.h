@@ -43,17 +43,6 @@ struct ExtractOptions {
   /// (the parity suite covers it); it shrinks join/DISTINCT inputs when
   /// the Nodes rules are selective. rows_scanned shrinks accordingly.
   bool semi_join_pushdown = false;
-  /// Fuse DISTINCT projections into the hash join beneath them on the
-  /// columnar engine (morsel-driven probe → first-occurrence set, no
-  /// intermediate tuple materialization). Output is identical either way;
-  /// off exposes the unfused operator chain for parity tests and benches.
-  bool fuse_join_distinct = true;
-  /// Minimum estimated join output size (bytes of row-id tuples) before
-  /// the fused pipeline engages; smaller outputs materialize and run the
-  /// classic cache-resident DISTINCT. 0 forces fusion for any size
-  /// (tests exercise the morsel path on small data that way). See
-  /// query::ExecOptions::fuse_min_output_bytes.
-  size_t fuse_min_output_bytes = size_t{32} << 20;
   /// Request lifecycle context threaded into every executed query and
   /// checked at rule/assembly stage boundaries: cooperative cancel flag,
   /// absolute deadline, and per-request transient-memory budget. A

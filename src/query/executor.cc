@@ -1,10 +1,8 @@
 #include "query/executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -33,8 +31,6 @@ struct ExecMetrics {
   obs::Counter* join_matches;
   obs::Counter* distinct_rows_in;
   obs::Counter* distinct_rows_out;
-  obs::Counter* fused_pipelines;
-  obs::Counter* unfused_pipelines;
   obs::Counter* simd_scan_vector;
   obs::Counter* simd_scan_scalar;
   obs::Counter* simd_probe_vector;
@@ -54,8 +50,6 @@ const ExecMetrics& Metrics() {
     em.join_matches = r.GetCounter("query.join.matches");
     em.distinct_rows_in = r.GetCounter("query.distinct.rows_in");
     em.distinct_rows_out = r.GetCounter("query.distinct.rows_out");
-    em.fused_pipelines = r.GetCounter("query.fused_pipelines");
-    em.unfused_pipelines = r.GetCounter("query.unfused_pipelines");
     em.simd_scan_vector = r.GetCounter("query.simd.scan_vector");
     em.simd_scan_scalar = r.GetCounter("query.simd.scan_scalar");
     em.simd_probe_vector = r.GetCounter("query.simd.probe_vector");
@@ -112,12 +106,6 @@ constexpr size_t kMaxPartitions = 16;
 // Predicate evaluation works column-at-a-time over sub-ranges this size,
 // so every predicate's pass over a morsel stays in cache.
 constexpr size_t kScanMorselRows = 1 << 11;
-// The fused join→DISTINCT pipeline buffers probe matches in morsels of
-// this many tuples, then batch-hashes and batch-inserts each morsel in
-// tight per-phase loops: the bounded buffer stays in L1/L2 and the hash
-// pass pipelines like the unfused operator's, while the join's full
-// output is still never materialized.
-constexpr size_t kFusedMorselRows = 1 << 15;
 
 // Combines hashes of projected row values (FNV-style mix).
 struct RowHash {
@@ -801,6 +789,18 @@ struct DistinctCol {
   }
 };
 
+// Projected-key hash of one row-id tuple: FNV-combine of the projected
+// columns' hashes plus a final avalanche (the flat set masks low bits).
+uint64_t DistinctHash(const std::vector<DistinctCol>& cols,
+                      const uint32_t* tup) {
+  uint64_t h = 1469598103934665603ull;
+  for (const DistinctCol& c : cols) {
+    h ^= c.Hash(tup[c.slot]);
+    h *= 1099511628211ull;
+  }
+  return MixInt64(h);
+}
+
 // Open-addressing first-occurrence set over row ids with precomputed
 // hashes. Rows must be offered in ascending order; survivors come out in
 // that same order. With `use_vec` probes run over a parallel tag array,
@@ -830,9 +830,14 @@ class FlatDistinctSet {
     if (vec_) __builtin_prefetch(tags_.data() + pos);
   }
 
-  // Second pipeline stage (see FusedDistinctSet::WarmProbe): reads the
-  // now-cached slot group and prefetches the candidates' hash and tuple
-  // records, so the real probe's dependent loads land warm. Read-only.
+  // Second pipeline stage: by the time this runs the slot group is in
+  // cache (PrefetchSlot ran a distance earlier), so the group can be
+  // read — not just prefetched — and the *candidates'* hash and tuple
+  // records pulled in. Duplicate offers otherwise serialize on that
+  // dependent load, which is the dominant miss on low-duplication inputs
+  // once the input outgrows the cache. Read-only: the real Insert
+  // re-probes from scratch, so a stale view (intervening inserts or
+  // growth) only weakens the hint.
   void WarmProbe(uint32_t i) const {
     const uint64_t h = hashes_[i];
     const size_t pos = h & mask_;
@@ -876,8 +881,9 @@ class FlatDistinctSet {
           const size_t cand =
               (pos + static_cast<size_t>(std::countr_zero(match))) & mask_;
           const uint32_t r = slots_[cand];
-          // Tag-filtered candidates skip the stored-hash pre-check; see
-          // FusedDistinctSet::Insert.
+          // No stored-hash pre-check here: the 7-bit tag already filtered
+          // to ~1% false candidates, RowsEqual alone decides, and skipping
+          // hashes_[r] saves a dependent cache line per duplicate offer.
           if (RowsEqual(r, i)) return false;
           match &= match - 1;
         }
@@ -911,9 +917,12 @@ class FlatDistinctSet {
  private:
   static constexpr uint32_t kEmptySlot = 0xffffffffu;
 
-  // Doubles the slot table and reinserts the retained rows (distinct
-  // keys, so each lands in its probe sequence's first empty slot — the
-  // slot both probe flavors pick). See FusedDistinctSet::Grow.
+  // Doubles the slot table and reinserts the retained rows. They hold
+  // pairwise distinct keys, so each lands in the first empty slot of its
+  // probe sequence — the same slot both the scalar walk and the group
+  // scan would pick (the group scan takes the lowest empty lane, which is
+  // the linear-first empty). Growth relocates slots only; survivors and
+  // their order are untouched.
   void Grow() {
     const size_t cap = 2 * (mask_ + 1);
     std::vector<uint32_t> old;
@@ -958,225 +967,8 @@ class FlatDistinctSet {
   bool vec_ = false;
 };
 
-// ------------------------------------------- fused join→DISTINCT kernel
-
-// Projected-key hash of one (concatenated) row-id tuple — the same
-// FNV-combine + avalanche the unfused DISTINCT uses.
-uint64_t DistinctHash(const std::vector<DistinctCol>& cols,
-                      const uint32_t* tup) {
-  uint64_t h = 1469598103934665603ull;
-  for (const DistinctCol& c : cols) {
-    h ^= c.Hash(tup[c.slot]);
-    h *= 1099511628211ull;
-  }
-  return MixInt64(h);
-}
-
-// Open-addressing first-occurrence set that *stores* surviving tuples:
-// the fused pipeline offers every probe match as a candidate concatenated
-// row-id tuple, and only first occurrences are retained — the join's full
-// output is never materialized anywhere. Hashing and equality run on the
-// projected typed base columns exactly like the unfused DISTINCT kernel.
-// The slot table is sized for the *survivors seen so far*, not the offer
-// count, and doubles on a load-factor trip: on duplicate-heavy joins
-// (the paper's dense co-purchase cliques offer 50x more candidates than
-// keys) an offer-sized table would be a multi-megabyte, ~2%-occupied
-// array probed at random — every lookup a cache miss. Growth relocates
-// slots only; survivor order and results are untouched. ReserveBatch
-// makes room for one morsel of potential survivors up front so the
-// insert loop writes raw arrays instead of re-checking vector capacity
-// per element.
-class FusedDistinctSet {
- public:
-  // `expected` is the number of candidates that will be offered (the
-  // range's match count, from the join build's chain lengths); the slot
-  // table starts at the smaller of that and one growth step past
-  // kDistinctSeedSlots.
-  FusedDistinctSet(size_t width, const std::vector<DistinctCol>& cols,
-                   size_t expected, bool use_vec)
-      : width_(width), cols_(cols), vec_(use_vec) {
-    const size_t cap =
-        TableCapacity(std::min(expected, kDistinctSeedSlots), use_vec);
-    slots_.assign(cap, kEmptySlot);
-    mask_ = cap - 1;
-    grow_at_ = GrowThreshold(cap, vec_);
-    if (vec_) tags_.assign(cap + simd::kTagGroupWidth - 1, simd::kTagEmpty);
-  }
-
-  // Guarantees room for `n` more survivors; call before a batch of at
-  // most `n` Insert offers. Survivor storage is raw geometric buffers —
-  // no value-initialization, no per-element capacity checks in Insert.
-  void ReserveBatch(size_t n) {
-    if (size_ + n > cap_) {
-      const size_t cap = std::max(cap_ * 2, size_ + n);
-      auto tuples = std::make_unique_for_overwrite<uint32_t[]>(cap * width_);
-      auto hashes = std::make_unique_for_overwrite<uint64_t[]>(cap);
-      std::copy(tuples_.get(), tuples_.get() + size_ * width_, tuples.get());
-      std::copy(hashes_.get(), hashes_.get() + size_, hashes.get());
-      tuples_ = std::move(tuples);
-      hashes_ = std::move(hashes);
-      cap_ = cap;
-    }
-  }
-
-  // Cache hint for a future Insert(·, h): pulls the first probe group
-  // of the hash's slot walk. See kProbePrefetchDist.
-  void PrefetchSlot(uint64_t h) const {
-    const size_t pos = h & mask_;
-    __builtin_prefetch(slots_.data() + pos);
-    if (vec_) __builtin_prefetch(tags_.data() + pos);
-  }
-
-  // Second pipeline stage: by the time this runs the slot group is in
-  // cache (PrefetchSlot ran a distance earlier), so the group can be
-  // read — not just prefetched — and the *candidates'* survivor records
-  // pulled in. Duplicate offers otherwise serialize on that dependent
-  // hash/tuple load, which is the dominant miss on low-duplication
-  // streams once the survivor arrays outgrow the cache. Read-only: the
-  // real Insert re-probes from scratch, so a stale view (intervening
-  // inserts or growth) only weakens the hint.
-  void WarmProbe(uint64_t h) const {
-    const size_t pos = h & mask_;
-    if (!vec_) {
-      const uint32_t s = slots_[pos];
-      if (s != kEmptySlot) {
-        __builtin_prefetch(hashes_.get() + s);
-        __builtin_prefetch(tuples_.get() + static_cast<size_t>(s) * width_);
-      }
-      return;
-    }
-    const uint8_t* group = tags_.data() + pos;
-    uint32_t match = BitsBeforeFirst(
-        simd::TagMatch16(group, simd::TagOfHash(h)), simd::TagEmpty16(group));
-    while (match != 0) {
-      const size_t cand =
-          (pos + static_cast<size_t>(std::countr_zero(match))) & mask_;
-      const uint32_t s = slots_[cand];
-      // Vec probes verify by tuple compare alone, so only the tuple
-      // line needs warming.
-      if (s != kEmptySlot) {
-        __builtin_prefetch(tuples_.get() + static_cast<size_t>(s) * width_);
-      }
-      match &= match - 1;
-    }
-  }
-
-  // True if the candidate's projected key is unseen; the tuple is then
-  // retained (survivors keep their offer order). Requires ReserveBatch.
-  bool Insert(const uint32_t* tup, uint64_t h) {
-    if (size_ >= grow_at_) Grow();
-    if (vec_) {
-      const uint8_t tag = simd::TagOfHash(h);
-      size_t pos = h & mask_;
-      for (;;) {
-        const uint8_t* group = tags_.data() + pos;
-        const uint32_t empty = simd::TagEmpty16(group);
-        uint32_t match = BitsBeforeFirst(simd::TagMatch16(group, tag), empty);
-        while (match != 0) {
-          const size_t cand =
-              (pos + static_cast<size_t>(std::countr_zero(match))) & mask_;
-          const uint32_t s = slots_[cand];
-          // No stored-hash pre-check here: the 7-bit tag already filtered
-          // to ~1% false candidates, Equal alone decides, and skipping
-          // hashes_[s] saves a dependent cache line per duplicate offer.
-          if (Equal(tuples_.get() + static_cast<size_t>(s) * width_, tup)) {
-            return false;
-          }
-          match &= match - 1;
-        }
-        if (empty != 0) {
-          const size_t slot =
-              (pos + static_cast<size_t>(std::countr_zero(empty))) & mask_;
-          Retain(slot, tup, h);
-          tags_[slot] = tag;
-          if (slot < simd::kTagGroupWidth - 1) {
-            tags_[mask_ + 1 + slot] = tag;
-          }
-          return true;
-        }
-        pos = (pos + simd::kTagGroupWidth) & mask_;
-      }
-    }
-    size_t pos = h & mask_;
-    for (;;) {
-      const uint32_t s = slots_[pos];
-      if (s == kEmptySlot) {
-        Retain(pos, tup, h);
-        return true;
-      }
-      if (hashes_[s] == h &&
-          Equal(tuples_.get() + static_cast<size_t>(s) * width_, tup)) {
-        return false;
-      }
-      pos = (pos + 1) & mask_;
-    }
-  }
-
-  size_t size() const { return size_; }
-  // Survivor tuples in offer order, size() rows of width() ids.
-  const uint32_t* tuples() const { return tuples_.get(); }
-  const uint64_t* hashes() const { return hashes_.get(); }
-
- private:
-  static constexpr uint32_t kEmptySlot = 0xffffffffu;
-
-  void Retain(size_t slot, const uint32_t* tup, uint64_t h) {
-    slots_[slot] = static_cast<uint32_t>(size_);
-    uint32_t* dst = tuples_.get() + size_ * width_;
-    for (size_t j = 0; j < width_; ++j) dst[j] = tup[j];
-    hashes_[size_] = h;
-    ++size_;
-  }
-
-  // Doubles the slot table and reinserts the survivors. Survivors are
-  // pairwise distinct, so each lands in the first empty slot of its
-  // probe sequence — the same slot both the scalar walk and the group
-  // scan would pick (the group scan takes the lowest empty lane, which
-  // is the linear-first empty). Final capacity never exceeds
-  // TableCapacity(offers) — what the presized table used to allocate.
-  void Grow() {
-    const size_t cap = 2 * (mask_ + 1);
-    mask_ = cap - 1;
-    grow_at_ = GrowThreshold(cap, vec_);
-    slots_.assign(cap, kEmptySlot);
-    if (vec_) tags_.assign(cap + simd::kTagGroupWidth - 1, simd::kTagEmpty);
-    for (size_t i = 0; i < size_; ++i) {
-      const uint64_t h = hashes_[i];
-      size_t pos = h & mask_;
-      while (slots_[pos] != kEmptySlot) pos = (pos + 1) & mask_;
-      slots_[pos] = static_cast<uint32_t>(i);
-      if (vec_) {
-        tags_[pos] = simd::TagOfHash(h);
-        if (pos < simd::kTagGroupWidth - 1) {
-          tags_[mask_ + 1 + pos] = tags_[pos];
-        }
-      }
-    }
-  }
-
-  bool Equal(const uint32_t* a, const uint32_t* b) const {
-    for (const DistinctCol& c : cols_) {
-      if (!c.Equal(a[c.slot], b[c.slot])) return false;
-    }
-    return true;
-  }
-
-  size_t width_;
-  const std::vector<DistinctCol>& cols_;
-  std::vector<uint32_t> slots_;
-  std::vector<uint8_t> tags_;
-  uint64_t mask_ = 0;
-  size_t grow_at_ = 0;
-  bool vec_ = false;
-  size_t size_ = 0;
-  size_t cap_ = 0;
-  std::unique_ptr<uint32_t[]> tuples_;  // survivor tuples, width_ ids each
-  std::unique_ptr<uint64_t[]> hashes_;  // survivor projected-key hashes
-};
-
-// The build phase of the partitioned hash join, shared by the
-// materializing join and the fused join→DISTINCT pipeline: typed keys and
-// hashes are precomputed in parallel, then P flat per-partition tables are
+// The build phase of the partitioned hash join: typed keys and hashes
+// are precomputed in parallel, then P flat per-partition tables are
 // built over build rows in ascending order (per-key chains stay ascending,
 // which is what makes probe output order the serial order).
 template <typename Key>
@@ -1320,137 +1112,6 @@ uint32_t* EmitJoinRange(const JoinBuild<Key>& jb, IndexRange range, HashFn hash,
   return out;
 }
 
-// One probe range of the fused join→DISTINCT pipeline: walks the range's
-// chains exactly like ProbeJoinRange, buffers matches in a bounded morsel
-// (flushed at probe-row boundaries so the chain walk carries no extra
-// branch), and batch-hashes + batch-offers each morsel to the range-local
-// first-occurrence set. A free function so `hash`/`pkey` land in
-// registers, matching the materializing probe's code shape.
-template <typename Key, typename HashFn, typename ProbeKeyFn>
-void FuseJoinRange(const JoinBuild<Key>& jb, IndexRange range, HashFn hash,
-                   ProbeKeyFn pkey, const RowIdResult& build,
-                   const RowIdResult& probe, bool build_left, size_t lw,
-                   size_t rw, const std::vector<DistinctCol>& cols,
-                   FusedDistinctSet& local, const ExecContext& ctx,
-                   AbortSlot& slot, bool poll) {
-  const size_t w = lw + rw;
-  const size_t bw = build_left ? lw : rw;
-  const size_t pw = build_left ? rw : lw;
-  std::vector<uint32_t> morsel;
-  std::vector<uint64_t> mhashes(2 * kFusedMorselRows);
-
-  if (lw == 1 && rw == 1) {
-    // Dominant shape — scan⋈scan edge queries emit (left id, right id)
-    // pairs. The chain walk writes raw indexed slots into a fixed
-    // buffer instead of paying two vector inserts per match; the buffer
-    // flushes when full, mid-chain included (survivor selection depends
-    // only on offer order, which flush boundaries never change).
-    morsel.resize(4 * kFusedMorselRows);
-    uint32_t* buf = morsel.data();
-    const size_t cap = morsel.size();
-    const uint32_t* btups = build.tuples.data();
-    const uint32_t* ptups = probe.tuples.data();
-    size_t fill = 0;
-    auto flush2 = [&] {
-      const size_t m = fill / 2;
-      for (size_t i = 0; i < m; ++i) {
-        mhashes[i] = DistinctHash(cols, buf + i * 2);
-      }
-      local.ReserveBatch(m);
-      for (size_t i = 0; i < m; ++i) {
-        if (i + 2 * kProbePrefetchDist < m) {
-          local.PrefetchSlot(mhashes[i + 2 * kProbePrefetchDist]);
-        }
-        if (i + kProbePrefetchDist < m) {
-          local.WarmProbe(mhashes[i + kProbePrefetchDist]);
-        }
-        local.Insert(buf + i * 2, mhashes[i]);
-      }
-      fill = 0;
-    };
-    size_t tick = kCancelStrideRows;
-    for (size_t pr = range.begin; pr < range.end; ++pr) {
-      if (poll && --tick == 0) {
-        tick = kCancelStrideRows;
-        if (!slot.Continue(ctx)) return;
-      }
-      Key k{};
-      if (!pkey(pr, &k)) continue;
-      const uint64_t h = hash(k);
-      const FlatChainTable<Key>& ht = jb.tables[h % jb.partitions];
-      int32_t bi = ht.Find(k, h);
-      if (bi < 0) continue;
-      const uint32_t p = ptups[pr];
-      if (build_left) {
-        for (; bi >= 0; bi = ht.next[bi]) {
-          if (fill == cap) flush2();
-          buf[fill] = btups[bi];
-          buf[fill + 1] = p;
-          fill += 2;
-        }
-      } else {
-        for (; bi >= 0; bi = ht.next[bi]) {
-          if (fill == cap) flush2();
-          buf[fill] = p;
-          buf[fill + 1] = btups[bi];
-          fill += 2;
-        }
-      }
-    }
-    flush2();
-    return;
-  }
-
-  morsel.reserve(2 * kFusedMorselRows * w);
-  auto flush = [&] {
-    const size_t m = morsel.size() / w;
-    if (mhashes.size() < m) mhashes.resize(m);
-    for (size_t i = 0; i < m; ++i) {
-      mhashes[i] = DistinctHash(cols, &morsel[i * w]);
-    }
-    local.ReserveBatch(m);
-    for (size_t i = 0; i < m; ++i) {
-      if (i + 2 * kProbePrefetchDist < m) {
-        local.PrefetchSlot(mhashes[i + 2 * kProbePrefetchDist]);
-      }
-      if (i + kProbePrefetchDist < m) {
-        local.WarmProbe(mhashes[i + kProbePrefetchDist]);
-      }
-      local.Insert(&morsel[i * w], mhashes[i]);
-    }
-    morsel.clear();
-  };
-  // Cooperative poll every kCancelStrideRows probe rows; the morsel
-  // buffers keep their reservations across blocks, so an active deadline
-  // costs one strided Continue() poll, not per-block reallocation.
-  size_t tick = kCancelStrideRows;
-  for (size_t pr = range.begin; pr < range.end; ++pr) {
-    if (poll && --tick == 0) {
-      tick = kCancelStrideRows;
-      if (!slot.Continue(ctx)) return;
-    }
-    Key k{};
-    if (!pkey(pr, &k)) continue;
-    const uint64_t h = hash(k);
-    const FlatChainTable<Key>& ht = jb.tables[h % jb.partitions];
-    int32_t bi = ht.Find(k, h);
-    if (bi < 0) continue;
-    const uint32_t* ptup = &probe.tuples[pr * pw];
-    for (; bi >= 0; bi = ht.next[bi]) {
-      const uint32_t* btup = &build.tuples[static_cast<size_t>(bi) * bw];
-      const uint32_t* ltup = build_left ? btup : ptup;
-      const uint32_t* rtup = build_left ? ptup : btup;
-      morsel.insert(morsel.end(), ltup, ltup + lw);
-      morsel.insert(morsel.end(), rtup, rtup + rw);
-    }
-    // A single row's chain may overshoot the morsel target; it is bounded
-    // by the build side and the unfused join would have materialized it
-    // whole anyway.
-    if (morsel.size() >= kFusedMorselRows * w) flush();
-  }
-  flush();
-}
-
 // Hash-table shape facts for the profile tree, filled only when someone
 // is recording (the occupancy sums cost a pass over the build input).
 struct JoinProfInfo {
@@ -1503,15 +1164,20 @@ std::vector<uint32_t> PartitionedJoin(const RowIdResult& left,
   // match count, so the emit pass writes matches straight into the final
   // tuple vector at per-range offsets — no per-range buffers, no
   // concatenation copy over the full output, and the operator's memory
-  // peak is the output itself rather than twice it.
+  // peak is the output itself rather than twice it. Both passes poll at
+  // the cancel stride.
   const size_t probe_ways =
       (threads > 1 && pn >= kParallelProbeThreshold) ? threads : 1;
   const bool poll = NeedsPoll(ctx);
   std::vector<IndexRange> ranges = EqualRanges(pn, probe_ways);
   std::vector<size_t> counts(ranges.size(), 0);
   ParallelInvoke(ranges.size(), [&](size_t t) {
-    counts[t] = CountJoinRange(jb, ranges[t], hash, pkey);
+    StridedRun(ctx, slot, poll, ranges[t].begin, ranges[t].end,
+               [&](size_t b, size_t e) {
+                 counts[t] += CountJoinRange(jb, {b, e}, hash, pkey);
+               });
   });
+  if (slot.Failed()) return {};
   const size_t w = lw + rw;
   size_t total = 0;
   for (size_t c : counts) total += c * w;
@@ -1538,8 +1204,7 @@ std::vector<uint32_t> PartitionedJoin(const RowIdResult& left,
   return tuples;
 }
 
-// Encoding-specialized key extraction for a hash join, shared by the
-// materializing join and the fused join→DISTINCT. Invokes
+// Encoding-specialized key extraction for a hash join. Invokes
 // run(KeyTag<Key>{}, hash, bkey, pkey) with lambdas specialized for the
 // key column pair, or returns false (without invoking run) when the
 // encodings make the join provably empty: Value equality never crosses
@@ -1898,53 +1563,6 @@ Result<RowIdResult> Executor::ScanColumnar(const ScanNode& node,
   return out;
 }
 
-namespace {
-
-// Shared setup of a hash join whose children have executed: validates the
-// key columns, picks the build side (smaller input — the same heuristic
-// as the row engine, so both engines emit identical row order), guards
-// the int32 chain indices, and assembles the join's output metadata
-// (concatenated sources/bindings + qualified schema) into *joined with
-// tuples left empty. Used by the materializing join and the fused
-// join→DISTINCT so their setups cannot drift apart.
-struct JoinSides {
-  bool build_left = false;
-  size_t build_col = 0;
-  size_t probe_col = 0;
-};
-
-Result<JoinSides> PrepareJoin(const HashJoinNode& node,
-                              const RowIdResult& left,
-                              const RowIdResult& right, RowIdResult* joined) {
-  if (node.left_col() >= left.schema.NumColumns() ||
-      node.right_col() >= right.schema.NumColumns()) {
-    return Status::PlanError("join column out of range");
-  }
-  JoinSides sides;
-  sides.build_left = left.NumRows() <= right.NumRows();
-  sides.build_col = sides.build_left ? node.left_col() : node.right_col();
-  sides.probe_col = sides.build_left ? node.right_col() : node.left_col();
-  // FlatChainTable chains build rows through int32 indices.
-  if ((sides.build_left ? left : right).NumRows() >
-      std::numeric_limits<int32_t>::max()) {
-    return Status::Unsupported("join build side exceeds 2^31 rows");
-  }
-  joined->sources = left.sources;
-  joined->sources.insert(joined->sources.end(), right.sources.begin(),
-                         right.sources.end());
-  const size_t lw = left.Width();
-  joined->columns = left.columns;
-  for (const ColumnBinding& b : right.columns) {
-    joined->columns.push_back(
-        {static_cast<uint32_t>(b.source + lw), b.column});
-  }
-  JoinOutputSchema(left.schema, left.origins, right.schema, right.origins,
-                   &joined->schema, &joined->origins);
-  return sides;
-}
-
-}  // namespace
-
 Result<RowIdResult> Executor::JoinColumnar(const HashJoinNode& node,
                                            obs::ProfileNode* parent) const {
   GRAPHGEN_FAULT_POINT("query.join.build.alloc");
@@ -1955,13 +1573,34 @@ Result<RowIdResult> Executor::JoinColumnar(const HashJoinNode& node,
                             ExecuteColumnar(node.left(), prof));
   GRAPHGEN_ASSIGN_OR_RETURN(RowIdResult right,
                             ExecuteColumnar(node.right(), prof));
+  if (node.left_col() >= left.schema.NumColumns() ||
+      node.right_col() >= right.schema.NumColumns()) {
+    return Status::PlanError("join column out of range");
+  }
+  // Build on the smaller input — the same heuristic as the row engine, so
+  // both engines emit identical row order.
+  const bool build_left = left.NumRows() <= right.NumRows();
+  const RowIdResult& build = build_left ? left : right;
+  const RowIdResult& probe = build_left ? right : left;
+  // FlatChainTable chains build rows through int32 indices.
+  if (build.NumRows() > std::numeric_limits<int32_t>::max()) {
+    return Status::Unsupported("join build side exceeds 2^31 rows");
+  }
   RowIdResult out;
-  GRAPHGEN_ASSIGN_OR_RETURN(JoinSides sides,
-                            PrepareJoin(node, left, right, &out));
-  const RowIdResult& build = sides.build_left ? left : right;
-  const RowIdResult& probe = sides.build_left ? right : left;
-  const BoundColumn bcol = build.Bind(sides.build_col);
-  const BoundColumn pcol = probe.Bind(sides.probe_col);
+  out.sources = left.sources;
+  out.sources.insert(out.sources.end(), right.sources.begin(),
+                     right.sources.end());
+  const size_t lw = left.Width();
+  out.columns = left.columns;
+  for (const ColumnBinding& b : right.columns) {
+    out.columns.push_back({static_cast<uint32_t>(b.source + lw), b.column});
+  }
+  JoinOutputSchema(left.schema, left.origins, right.schema, right.origins,
+                   &out.schema, &out.origins);
+  const BoundColumn bcol =
+      build.Bind(build_left ? node.left_col() : node.right_col());
+  const BoundColumn pcol =
+      probe.Bind(build_left ? node.right_col() : node.left_col());
   const size_t threads = options_.threads;
 
   // An impossible key-encoding pair (WithTypedJoinKeys returns false)
@@ -1972,9 +1611,8 @@ Result<RowIdResult> Executor::JoinColumnar(const HashJoinNode& node,
       build, probe, bcol, pcol, options_.ctx, slot,
       [&](auto tag, auto hash, auto bkey, auto pkey) {
         using Key = typename decltype(tag)::type;
-        out.tuples = PartitionedJoin<Key>(left, right, sides.build_left,
-                                          threads, hash, bkey, pkey,
-                                          options_.ctx, slot,
+        out.tuples = PartitionedJoin<Key>(left, right, build_left, threads,
+                                          hash, bkey, pkey, options_.ctx, slot,
                                           prof != nullptr ? &info : nullptr);
       });
   GRAPHGEN_RETURN_NOT_OK(slot.Take());
@@ -1994,296 +1632,19 @@ Result<RowIdResult> Executor::JoinColumnar(const HashJoinNode& node,
       prof->AddStat("load_factor", static_cast<double>(info.build_keys) /
                                        static_cast<double>(info.capacity));
     }
-    prof->AddNote("build_side", sides.build_left ? "left" : "right");
+    prof->AddNote("build_side", build_left ? "left" : "right");
     prof->AddNote("simd", simd::TierName());
-  }
-  return out;
-}
-
-Result<RowIdResult> Executor::JoinDistinctColumnar(
-    const ProjectNode& node, const HashJoinNode& join,
-    obs::ProfileNode* parent) const {
-  GRAPHGEN_FAULT_POINT("query.join_distinct.alloc");
-  GRAPHGEN_RETURN_NOT_OK(options_.ctx.Check());
-  obs::ProfileNode* prof = OpNode(parent, "join_distinct");
-  obs::Span span(prof);
-  GRAPHGEN_ASSIGN_OR_RETURN(RowIdResult left,
-                            ExecuteColumnar(join.left(), prof));
-  GRAPHGEN_ASSIGN_OR_RETURN(RowIdResult right,
-                            ExecuteColumnar(join.right(), prof));
-  // The join initially contributes only its output *metadata* (sources,
-  // bindings, qualified schema); whether its tuple vector is ever built
-  // is the fusion decision below.
-  RowIdResult joined;
-  GRAPHGEN_ASSIGN_OR_RETURN(JoinSides sides,
-                            PrepareJoin(join, left, right, &joined));
-  const bool build_left = sides.build_left;
-  const RowIdResult& build = build_left ? left : right;
-  const RowIdResult& probe = build_left ? right : left;
-  const size_t lw = left.Width();
-  const size_t rw = right.Width();
-
-  RowIdResult out;
-  GRAPHGEN_RETURN_NOT_OK(ProjectOutputSchema(
-      node, joined.schema, joined.origins, &out.schema, &out.origins));
-  out.sources = joined.sources;
-  out.columns.reserve(node.columns().size());
-  for (size_t c : node.columns()) out.columns.push_back(joined.columns[c]);
-
-  std::vector<DistinctCol> cols;
-  cols.reserve(node.columns().size());
-  for (size_t c : node.columns()) {
-    cols.push_back(DistinctCol::Make(joined.Bind(c)));
-  }
-
-  const BoundColumn bcol = build.Bind(sides.build_col);
-  const BoundColumn pcol = probe.Bind(sides.probe_col);
-  const size_t threads = options_.threads;
-  const size_t w = lw + rw;
-  const size_t pn = probe.NumRows();
-
-  bool fused = false;
-  size_t matches = 0;
-  size_t fused_morsels = 0;
-  JoinProfInfo info;
-  AbortSlot slot;
-  const bool poll = NeedsPoll(options_.ctx);
-  const bool vec_tier = simd::ActiveTier() == simd::Tier::kAvx2;
-  WithTypedJoinKeys(build, probe, bcol, pcol, options_.ctx, slot,
-                    [&](auto tag, auto hash, auto bkey, auto pkey) {
-    using Key = typename decltype(tag)::type;
-    JoinBuild<Key> jb = BuildJoinTables<Key>(build.NumRows(), threads, hash,
-                                             bkey, options_.ctx, slot);
-    if (slot.Failed()) return;
-    FillJoinProfInfo(jb, build.NumRows(), prof != nullptr ? &info : nullptr);
-
-    const size_t probe_ways =
-        (threads > 1 && pn >= kParallelProbeThreshold) ? threads : 1;
-    std::vector<IndexRange> ranges = EqualRanges(pn, probe_ways);
-
-    // Count pass: O(probe rows) chain-length lookups give every range's
-    // exact match count — and therefore the join's exact output size —
-    // before a single tuple is emitted.
-    std::vector<size_t> expected(ranges.size(), 0);
-    ParallelInvoke(ranges.size(), [&](size_t t) {
-      StridedRun(options_.ctx, slot, poll, ranges[t].begin, ranges[t].end,
-                 [&](size_t b, size_t e) {
-                   expected[t] += CountJoinRange(jb, {b, e}, hash, pkey);
-                 });
-    });
-    if (slot.Failed()) return;
-    size_t total_matches = 0;
-    for (size_t e : expected) total_matches += e;
-    matches = total_matches;
-    for (size_t e : expected) {
-      fused_morsels += (e + kFusedMorselRows - 1) / kFusedMorselRows;
-    }
-
-    // Fusion trades the materialize→rehash→re-read passes for streaming
-    // dedup; that wins once the output is too large to stay
-    // cache-resident and costs slightly otherwise, so small outputs
-    // materialize and take the classic DISTINCT below.
-    fused = total_matches * w * sizeof(uint32_t) >=
-            std::max<size_t>(options_.fuse_min_output_bytes, 1);
-    if (!fused) {
-      // Materializing branch: the exact per-range counts place every
-      // range's matches directly into the final tuple vector, so the
-      // peak is the output itself — no per-range buffers, no
-      // concatenation pass.
-      if (Status st = options_.ctx.Charge(
-              total_matches * w * sizeof(uint32_t),
-              "materialized join output");
-          !st.ok()) {
-        slot.Fail(std::move(st));
-        return;
-      }
-      joined.tuples.resize(total_matches * w);
-      std::vector<size_t> offsets(ranges.size(), 0);
-      for (size_t t = 0, off = 0; t < ranges.size(); ++t) {
-        offsets[t] = off;
-        off += expected[t] * w;
-      }
-      ParallelInvoke(ranges.size(), [&](size_t t) {
-        uint32_t* out = joined.tuples.data() + offsets[t];
-        StridedRun(options_.ctx, slot, poll, ranges[t].begin, ranges[t].end,
-                   [&](size_t b, size_t e) {
-                     out = EmitJoinRange(jb, {b, e}, hash, pkey, build, probe,
-                                         build_left, lw, rw, out);
-                   });
-      });
-      return;
-    }
-
-    // Each probe range streams its matches into a range-local
-    // first-occurrence set through a bounded morsel buffer: matches
-    // accumulate as concatenated tuples, and a full morsel is hashed in
-    // one tight pass and offered to the set in a second — the same
-    // batched loop shape as the unfused operators, without ever holding
-    // more than one morsel of un-deduplicated join output per thread.
-    // The exact per-range counts presize each set, so the offer loop
-    // never rehashes.
-    std::vector<std::unique_ptr<FusedDistinctSet>> locals(ranges.size());
-    ParallelInvoke(ranges.size(), [&](size_t t) {
-      // Worst case every offer survives: slot table (+ probe tags) +
-      // tuple/hash storage.
-      const size_t set_bytes =
-          TableCapacity(expected[t], vec_tier) *
-              (sizeof(uint32_t) + sizeof(uint8_t)) +
-          expected[t] * (w * sizeof(uint32_t) + sizeof(uint64_t));
-      if (Status st = options_.ctx.Charge(set_bytes, "fused DISTINCT set");
-          !st.ok()) {
-        slot.Fail(std::move(st));
-        return;
-      }
-      locals[t] =
-          std::make_unique<FusedDistinctSet>(w, cols, expected[t], vec_tier);
-      FuseJoinRange(jb, ranges[t], hash, pkey, build, probe, build_left, lw,
-                    rw, cols, *locals[t], options_.ctx, slot, poll);
-    });
-    if (slot.Failed()) return;
-
-    if (ranges.size() == 1) {
-      out.tuples.assign(locals[0]->tuples(),
-                        locals[0]->tuples() + locals[0]->size() * w);
-      return;
-    }
-    // A range's survivors are its in-range-first occurrences in emission
-    // order, so merging ranges in index order keeps exactly the
-    // globally-first occurrence of every key, in the serial join's
-    // emission order — bit-identical to the unfused operator chain.
-    std::vector<size_t> bases(locals.size() + 1, 0);
-    for (size_t r = 0; r < locals.size(); ++r) {
-      bases[r + 1] = bases[r] + locals[r]->size();
-    }
-    const size_t offered = bases.back();
-    const size_t merge_ways =
-        (threads > 1 && offered >= kParallelDistinctThreshold)
-            ? std::min(threads, kMaxPartitions)
-            : 1;
-    if (merge_ways == 1) {
-      FusedDistinctSet global(w, cols, offered, vec_tier);
-      for (const auto& local : locals) {
-        const uint32_t* lt = local->tuples();
-        const uint64_t* lh = local->hashes();
-        global.ReserveBatch(local->size());
-        const size_t ln = local->size();
-        for (size_t i = 0; i < ln; ++i) {
-          if (i + 2 * kProbePrefetchDist < ln) {
-            global.PrefetchSlot(lh[i + 2 * kProbePrefetchDist]);
-          }
-          if (i + kProbePrefetchDist < ln) {
-            global.WarmProbe(lh[i + kProbePrefetchDist]);
-          }
-          global.Insert(lt + i * w, lh[i]);
-        }
-      }
-      out.tuples.assign(global.tuples(),
-                        global.tuples() + global.size() * w);
-      return;
-    }
-    // Low-duplication joins leave most offers alive in every range, so
-    // the concatenated survivor stream can approach the original match
-    // count and a serial re-insert walk becomes the pipeline's wall.
-    // Keys land in exactly one hash partition, so each partition worker
-    // replays the whole stream for its keys independently; a bitmap over
-    // stream ordinals records who survived, and prefix popcount ranks
-    // place every survivor at its serial output position — the same
-    // tuples in the same order as the serial merge.
-    std::vector<uint64_t> bits((offered + 63) / 64, 0);
-    ParallelInvoke(merge_ways, [&](size_t p) {
-      FusedDistinctSet part(w, cols, offered / merge_ways + 1, vec_tier);
-      for (size_t r = 0; r < locals.size(); ++r) {
-        const uint32_t* lt = locals[r]->tuples();
-        const uint64_t* lh = locals[r]->hashes();
-        const size_t ln = locals[r]->size();
-        for (size_t i = 0; i < ln; ++i) {
-          if (lh[i] % merge_ways != p) continue;
-          const size_t f = i + kProbePrefetchDist;
-          if (f < ln && lh[f] % merge_ways == p) part.PrefetchSlot(lh[f]);
-          part.ReserveBatch(1);
-          if (part.Insert(lt + i * w, lh[i])) {
-            const size_t o = bases[r] + i;
-            std::atomic_ref<uint64_t>(bits[o >> 6])
-                .fetch_or(uint64_t{1} << (o & 63),
-                          std::memory_order_relaxed);
-          }
-        }
-      }
-    });
-    std::vector<size_t> rank(bits.size() + 1, 0);
-    for (size_t i = 0; i < bits.size(); ++i) {
-      rank[i + 1] = rank[i] + static_cast<size_t>(std::popcount(bits[i]));
-    }
-    out.tuples.resize(rank.back() * w);
-    ParallelInvoke(locals.size(), [&](size_t r) {
-      const uint32_t* lt = locals[r]->tuples();
-      const size_t ln = locals[r]->size();
-      for (size_t i = 0; i < ln; ++i) {
-        const size_t o = bases[r] + i;
-        const uint64_t word = bits[o >> 6];
-        if ((word & (uint64_t{1} << (o & 63))) == 0) continue;
-        const size_t pos =
-            rank[o >> 6] +
-            static_cast<size_t>(
-                std::popcount(word & ((uint64_t{1} << (o & 63)) - 1)));
-        uint32_t* dst = out.tuples.data() + pos * w;
-        for (size_t j = 0; j < w; ++j) dst[j] = lt[i * w + j];
-      }
-    });
-  });
-  GRAPHGEN_RETURN_NOT_OK(slot.Take());
-  Metrics().join_build_rows->Add(build.NumRows());
-  Metrics().join_probe_rows->Add(probe.NumRows());
-  Metrics().join_matches->Add(matches);
-  (fused ? Metrics().fused_pipelines : Metrics().unfused_pipelines)->Add(1);
-  (vec_tier ? Metrics().simd_probe_vector : Metrics().simd_probe_scalar)
-      ->Add(1);
-  if (prof != nullptr) {
-    prof->AddStat("build_rows", static_cast<double>(build.NumRows()));
-    prof->AddStat("probe_rows", static_cast<double>(probe.NumRows()));
-    prof->AddStat("join_matches", static_cast<double>(matches));
-    prof->AddStat("partitions", static_cast<double>(info.partitions));
-    if (info.capacity > 0) {
-      prof->AddStat("load_factor", static_cast<double>(info.build_keys) /
-                                       static_cast<double>(info.capacity));
-    }
-    prof->AddStat("est_join_bytes",
-                  static_cast<double>(matches * w * sizeof(uint32_t)));
-    prof->AddNote("fused", fused ? "yes" : "no");
-    prof->AddNote("simd", simd::TierName());
-  }
-  if (!fused) {
-    // Below the fusion threshold (or an impossible key pairing): the
-    // materialized join runs through the ordinary projection tail.
-    return ProjectFromChild(node, std::move(joined), prof);
-  }
-  Metrics().distinct_rows_in->Add(matches);
-  Metrics().distinct_rows_out->Add(out.NumRows());
-  if (prof != nullptr) {
-    prof->rows = static_cast<int64_t>(out.NumRows());
-    prof->AddStat("morsels", static_cast<double>(fused_morsels));
   }
   return out;
 }
 
 Result<RowIdResult> Executor::ProjectColumnar(const ProjectNode& node,
                                               obs::ProfileNode* parent) const {
-  if (node.distinct() && options_.fuse_join_distinct &&
-      node.child().kind() == PlanNode::Kind::kHashJoin) {
-    return JoinDistinctColumnar(
-        node, static_cast<const HashJoinNode&>(node.child()), parent);
-  }
   obs::ProfileNode* prof =
       OpNode(parent, node.distinct() ? "project_distinct" : "project");
   obs::Span span(prof);
   GRAPHGEN_ASSIGN_OR_RETURN(RowIdResult child,
                             ExecuteColumnar(node.child(), prof));
-  return ProjectFromChild(node, std::move(child), prof);
-}
-
-Result<RowIdResult> Executor::ProjectFromChild(const ProjectNode& node,
-                                               RowIdResult child,
-                                               obs::ProfileNode* prof) const {
   GRAPHGEN_FAULT_POINT("query.distinct.alloc");
   GRAPHGEN_RETURN_NOT_OK(options_.ctx.Check());
   RowIdResult out;

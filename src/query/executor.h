@@ -27,20 +27,6 @@ struct ExecOptions {
   /// 1 = fully serial). Results are identical for every value.
   size_t threads = 0;
   ExecEngine engine = ExecEngine::kColumnar;
-  /// Fuse DISTINCT projections directly into the hash join beneath them:
-  /// probe matches feed the first-occurrence set per morsel instead of
-  /// materializing the intermediate row-id tuple vector. Output is
-  /// bitwise-identical either way (the parity suite proves it); the switch
-  /// exists so benches and tests can exercise both operator chains.
-  bool fuse_join_distinct = true;
-  /// Fusion pays when the join output is too big to stay cache-resident
-  /// (the morsel pipeline trades a second pass over materialized tuples
-  /// for streaming dedup); below this estimated output size the operator
-  /// materializes and runs the classic DISTINCT, which is faster in
-  /// cache. The join build's chain lengths give the exact output size
-  /// *before* any tuple is emitted, so the choice is free. 0 forces the
-  /// fused pipeline for any size (tests).
-  size_t fuse_min_output_bytes = size_t{32} << 20;
   /// Request lifecycle context: cooperative cancel flag, deadline, and
   /// transient-memory budget. Every operator polls it at morsel/stride
   /// boundaries and charges its big allocations, so a cancelled, expired,
@@ -64,7 +50,7 @@ class Executor {
   /// is non-null (and observability is enabled) the engine appends an
   /// EXPLAIN ANALYZE operator subtree under it: per-operator inclusive
   /// timings, input/output cardinalities, join build/probe breakdowns,
-  /// hash-table load factors, and the fusion decision taken.
+  /// and hash-table load factors.
   Result<ResultSet> Execute(const PlanNode& plan,
                             obs::ProfileNode* parent = nullptr) const;
 
@@ -85,22 +71,6 @@ class Executor {
                                    obs::ProfileNode* parent) const;
   Result<RowIdResult> ProjectColumnar(const ProjectNode& node,
                                       obs::ProfileNode* parent) const;
-  /// The fused morsel pipeline for DISTINCT directly above a hash join:
-  /// executes the join's children, builds the partitioned hash tables,
-  /// sizes the output from the build chains, and — when the output is
-  /// large enough that fusion pays — streams probe matches straight into
-  /// the first-occurrence set without materializing the join's tuple
-  /// vector. Smaller joins materialize and take ProjectFromChild.
-  Result<RowIdResult> JoinDistinctColumnar(const ProjectNode& node,
-                                           const HashJoinNode& join,
-                                           obs::ProfileNode* parent) const;
-  /// Projection/DISTINCT over an already-executed child (the tail of
-  /// ProjectColumnar, shared with the fused path's materializing branch).
-  /// `prof` is the caller's already-created operator node, filled in
-  /// place (null = no recording).
-  Result<RowIdResult> ProjectFromChild(const ProjectNode& node,
-                                       RowIdResult child,
-                                       obs::ProfileNode* prof) const;
 
   Result<ResultSet> ScanRows(const ScanNode& node,
                              obs::ProfileNode* parent) const;

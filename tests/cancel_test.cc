@@ -128,14 +128,11 @@ const char* kCoEnrollment =
     "Nodes(ID, Name) :- Student(ID, Name).\n"
     "Edges(ID1, ID2) :- TookCourse(ID1, C), TookCourse(ID2, C).";
 
-planner::ExtractOptions PipelineOptions(query::ExecEngine engine,
-                                        bool fuse = true) {
+planner::ExtractOptions PipelineOptions(query::ExecEngine engine) {
   planner::ExtractOptions o;
   o.large_output_factor = 0.0;
   o.preprocess = false;
   o.engine = engine;
-  o.fuse_join_distinct = fuse;
-  o.fuse_min_output_bytes = 0;  // fusion (when on) for any size
   return o;
 }
 
@@ -170,17 +167,12 @@ TEST_F(PipelineCancelTest, ExpiredDeadlineUnwindsOnEveryEngine) {
 }
 
 TEST_F(PipelineCancelTest, MemoryCeilingSurfacesAsResourceExhausted) {
-  struct Variant {
-    query::ExecEngine engine;
-    bool fuse;
-  };
-  for (Variant v : {Variant{query::ExecEngine::kColumnar, true},
-                    Variant{query::ExecEngine::kColumnar, false},
-                    Variant{query::ExecEngine::kRowAtATime, true}}) {
-    planner::ExtractOptions options = PipelineOptions(v.engine, v.fuse);
+  for (query::ExecEngine engine :
+       {query::ExecEngine::kColumnar, query::ExecEngine::kRowAtATime}) {
+    planner::ExtractOptions options = PipelineOptions(engine);
     options.ctx.budget = std::make_shared<MemoryBudget>(size_t{8} << 10);
     auto result = planner::ExtractFromQuery(data_.db, kCoEnrollment, options);
-    ASSERT_FALSE(result.ok()) << "engine " << static_cast<int>(v.engine);
+    ASSERT_FALSE(result.ok()) << "engine " << static_cast<int>(engine);
     EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
         << result.status().ToString();
   }
@@ -203,15 +195,16 @@ TEST_F(PipelineCancelTest, GenerousBudgetSucceedsAndTracksPeak) {
   EXPECT_EQ(planner::DiffExtraction(*result, *plain), "");
 }
 
-// Mid-flight cancellation latency: a deliberately heavy self-join (about
-// 25M candidate pairs) is cancelled shortly after it starts; the morsel
-// polls must unwind it orders of magnitude before it would finish. The
-// wall guard is intentionally generous — sanitizer builds on loaded CI
+// Mid-flight cancellation latency: a condensed co-enrollment extraction
+// over 400K enrollment rows is cancelled shortly after it starts; the
+// strided polls must unwind it well before it would finish. The wall
+// guard is intentionally generous — sanitizer builds on loaded CI
 // machines still pass it easily, a hung pipeline never does.
 TEST(CancelLatencyTest, MidFlightCancellationUnwindsQuickly) {
-  // ~100 courses x (10000*40/100)^2 enrollment pairs each = ~1.6e9
-  // candidates; runs for seconds uncancelled, so a 5ms cancel lands
-  // mid-join.
+  // 10000 students x 40 enrollments; factor 0.0 condenses the rule at the
+  // course boundary (scans + virtual-node assembly). It runs for a few
+  // hundred ms uncancelled in an optimized build, so a 5ms cancel lands
+  // mid-flight.
   gen::GeneratedDatabase data = gen::MakeUniversity(10000, 40, 100, 40.0);
   planner::ExtractOptions options =
       PipelineOptions(query::ExecEngine::kColumnar);

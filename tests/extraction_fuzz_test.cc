@@ -1,12 +1,11 @@
 // Extraction parity fuzz: randomized schemas and datasets (seeded via
 // common/rng, fully reproducible) extracted under every engine × thread
-// count × semi-join pushdown × fused/unfused join→DISTINCT combination
-// and diffed bitwise against the serial row-at-a-time oracle. The
-// datasets deliberately include dangling src/dst keys (link rows whose
-// endpoint is not a node), NULL keys, duplicate link rows, heterogeneous
-// key types (int64 / dictionary strings / mixed columns), and chains long
-// enough that factor 0.0 forces multi-segment assembly with virtual
-// nodes at the boundaries.
+// count × semi-join pushdown combination and diffed bitwise against the
+// serial row-at-a-time oracle. The datasets deliberately include dangling
+// src/dst keys (link rows whose endpoint is not a node), NULL keys,
+// duplicate link rows, heterogeneous key types (int64 / dictionary
+// strings / mixed columns), and chains long enough that factor 0.0
+// forces multi-segment assembly with virtual nodes at the boundaries.
 
 #include <gtest/gtest.h>
 
@@ -151,23 +150,15 @@ FuzzCase MakeCase(uint64_t seed) {
   return fc;
 }
 
-// How the fused join→DISTINCT pipeline is driven: disabled entirely,
-// forced for any output size, or the adaptive default.
-enum class FuseMode { kNever, kAlways, kAuto };
-constexpr FuseMode kFuseModes[] = {FuseMode::kNever, FuseMode::kAlways,
-                                   FuseMode::kAuto};
-
 ExtractionResult RunExtract(const FuzzCase& fc, double factor,
                             query::ExecEngine engine, size_t threads,
-                            bool pushdown, FuseMode fuse) {
+                            bool pushdown) {
   ExtractOptions opts;
   opts.large_output_factor = factor;
   opts.preprocess = false;
   opts.engine = engine;
   opts.threads = threads;
   opts.semi_join_pushdown = pushdown;
-  opts.fuse_join_distinct = fuse != FuseMode::kNever;
-  if (fuse == FuseMode::kAlways) opts.fuse_min_output_bytes = 0;
   auto result = ExtractFromQuery(fc.db, fc.datalog, opts);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result).ValueOrDie();
@@ -182,36 +173,27 @@ TEST(ExtractionFuzzTest, RandomizedSchemasAgreeAcrossAllConfigurations) {
     for (double factor : {0.0, 2.0, 1e18}) {
       const ExtractionResult oracle =
           RunExtract(fc, factor, query::ExecEngine::kRowAtATime, 1,
-                     /*pushdown=*/false, FuseMode::kNever);
-      for (const FuseMode fuse : kFuseModes) {
-        for (const size_t threads : {size_t{1}, size_t{4}}) {
-          const ExtractionResult got =
-              RunExtract(fc, factor, query::ExecEngine::kColumnar, threads,
-                         /*pushdown=*/false, fuse);
-          EXPECT_EQ(DiffExtraction(oracle, got), "")
-              << "factor=" << factor << " threads=" << threads
-              << " fuse=" << static_cast<int>(fuse);
-        }
+                     /*pushdown=*/false);
+      for (const size_t threads : {size_t{1}, size_t{4}}) {
+        const ExtractionResult got =
+            RunExtract(fc, factor, query::ExecEngine::kColumnar, threads,
+                       /*pushdown=*/false);
+        EXPECT_EQ(DiffExtraction(oracle, got), "")
+            << "factor=" << factor << " threads=" << threads;
       }
       // Pushdown legitimately scans fewer rows; the graph must not move.
-      for (const FuseMode fuse : kFuseModes) {
-        const ExtractionResult got =
-            RunExtract(fc, factor, query::ExecEngine::kColumnar, 4,
-                       /*pushdown=*/true, fuse);
-        EXPECT_EQ(DiffExtraction(oracle, got, /*compare_scan_counts=*/false),
-                  "")
-            << "factor=" << factor << " pushdown fuse="
-            << static_cast<int>(fuse);
-        EXPECT_LE(got.rows_scanned, oracle.rows_scanned);
-      }
       // The row engine with pushdown is the pushdown oracle for the
       // columnar pushdown path, scan counts included.
       const ExtractionResult push_oracle =
           RunExtract(fc, factor, query::ExecEngine::kRowAtATime, 1,
-                     /*pushdown=*/true, FuseMode::kNever);
+                     /*pushdown=*/true);
       const ExtractionResult push_col =
           RunExtract(fc, factor, query::ExecEngine::kColumnar, 4,
-                     /*pushdown=*/true, FuseMode::kAuto);
+                     /*pushdown=*/true);
+      EXPECT_EQ(
+          DiffExtraction(oracle, push_col, /*compare_scan_counts=*/false), "")
+          << "factor=" << factor << " pushdown";
+      EXPECT_LE(push_col.rows_scanned, oracle.rows_scanned);
       EXPECT_EQ(DiffExtraction(push_oracle, push_col), "")
           << "factor=" << factor << " pushdown scan-count parity";
     }
@@ -272,8 +254,7 @@ TEST(ExtractionFuzzTest, AppendThenPatchMatchesColdExtraction) {
             << " fell back: " << attempt->fallback_reason;
 
         const ExtractionResult fresh =
-            RunExtract(fc, factor, query::ExecEngine::kColumnar, 4, pushdown,
-                       FuseMode::kAuto);
+            RunExtract(fc, factor, query::ExecEngine::kColumnar, 4, pushdown);
         EXPECT_EQ(DiffExtraction(fresh, attempt->result,
                                  /*compare_scan_counts=*/false),
                   "")
@@ -299,14 +280,14 @@ TEST(ExtractionFuzzTest, ForcedScalarSimdTierMatchesVectorTier) {
       simd::ResetTierForTesting();
       const ExtractionResult oracle =
           RunExtract(fc, factor, query::ExecEngine::kRowAtATime, 1,
-                     /*pushdown=*/false, FuseMode::kNever);
+                     /*pushdown=*/false);
       const ExtractionResult vec =
           RunExtract(fc, factor, query::ExecEngine::kColumnar, 4,
-                     /*pushdown=*/false, FuseMode::kAuto);
+                     /*pushdown=*/false);
       simd::SetTierForTesting(simd::Tier::kScalar);
       const ExtractionResult scalar =
           RunExtract(fc, factor, query::ExecEngine::kColumnar, 4,
-                     /*pushdown=*/false, FuseMode::kAuto);
+                     /*pushdown=*/false);
       EXPECT_EQ(DiffExtraction(oracle, scalar), "")
           << "factor=" << factor << " scalar tier vs row oracle";
       EXPECT_EQ(DiffExtraction(vec, scalar), "")

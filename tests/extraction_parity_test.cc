@@ -13,36 +13,20 @@
 namespace graphgen::planner {
 namespace {
 
-// How the fused join→DISTINCT pipeline is driven: the adaptive default
-// (kAuto, fuses above the output-size threshold), forced for any size
-// (kForce, exercises the morsel pipeline even on small datasets), or
-// disabled (kOff, the unfused operator chain).
-enum class Fuse { kAuto, kForce, kOff };
-
 struct Config {
   const char* name;
   query::ExecEngine engine;
   size_t threads;
   bool use_pool;
-  Fuse fuse = Fuse::kAuto;
 };
 
 // The serial legacy interpreter is the oracle; every other configuration
-// must match it exactly — including the fused morsel-driven join→DISTINCT
-// pipeline against the unfused operator chain.
+// must match it exactly.
 const Config kBaseline{"row-at-a-time serial", query::ExecEngine::kRowAtATime,
                        1, false};
 const Config kConfigs[] = {
     {"columnar serial", query::ExecEngine::kColumnar, 1, false},
     {"columnar 4 threads", query::ExecEngine::kColumnar, 4, false},
-    {"columnar serial fused", query::ExecEngine::kColumnar, 1, false,
-     Fuse::kForce},
-    {"columnar 4 threads fused", query::ExecEngine::kColumnar, 4, false,
-     Fuse::kForce},
-    {"columnar serial unfused", query::ExecEngine::kColumnar, 1, false,
-     Fuse::kOff},
-    {"columnar 4 threads unfused", query::ExecEngine::kColumnar, 4, false,
-     Fuse::kOff},
     {"columnar shared pool", query::ExecEngine::kColumnar, 4, true},
     {"row-at-a-time pooled rules", query::ExecEngine::kRowAtATime, 4, true},
 };
@@ -58,8 +42,6 @@ ExtractionResult RunConfig(const gen::GeneratedDatabase& data,
   opts.threads = config.threads;
   opts.pool = config.use_pool ? pool : nullptr;
   opts.semi_join_pushdown = semi_join_pushdown;
-  opts.fuse_join_distinct = config.fuse != Fuse::kOff;
-  if (config.fuse == Fuse::kForce) opts.fuse_min_output_bytes = 0;
   auto result = ExtractFromQuery(data.db, datalog, opts);
   EXPECT_TRUE(result.ok()) << config.name << ": "
                            << result.status().ToString();

@@ -141,18 +141,8 @@ std::vector<SweepVariant> SweepVariants() {
     return o;
   };
   std::vector<SweepVariant> variants;
-  // Columnar, fused (forced for any size), preprocess on.
-  {
-    GraphGenOptions o = base();
-    o.extract.fuse_min_output_bytes = 0;
-    variants.push_back({kCoEnrollment, o});
-  }
-  // Columnar, unfused DISTINCT chain.
-  {
-    GraphGenOptions o = base();
-    o.extract.fuse_join_distinct = false;
-    variants.push_back({kCoEnrollment, o});
-  }
+  // Columnar, preprocess on.
+  variants.push_back({kCoEnrollment, base()});
   // Row-at-a-time oracle engine.
   {
     GraphGenOptions o = base();

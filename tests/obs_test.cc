@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -201,6 +202,45 @@ TEST(ProfileTest, OperatorRowCountsMatchExtractionCardinalities) {
   EXPECT_NE(text.find("-> nodes"), std::string::npos);
   std::string json = profile.ToJson();
   EXPECT_NE(json.find("\"name\": \"edges\""), std::string::npos);
+}
+
+// Every operator row renders each note once: a key that two code paths
+// both write shows up twice on the EXPLAIN ANALYZE line.
+void ExpectUniqueNoteKeys(const obs::ProfileNode& node) {
+  std::set<std::string> keys;
+  for (const auto& [key, value] : node.notes) {
+    EXPECT_TRUE(keys.insert(key).second)
+        << node.name << " carries note '" << key << "' twice";
+  }
+  for (const obs::ProfileNode& child : node.children) {
+    ExpectUniqueNoteKeys(child);
+  }
+}
+
+// True if some node named `parent` has a direct child named `child`.
+bool HasParentOf(const obs::ProfileNode& node, const std::string& parent,
+                 const std::string& child) {
+  for (const obs::ProfileNode& c : node.children) {
+    if ((node.name == parent && c.name == child) ||
+        HasParentOf(c, parent, child)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(ProfileTest, NoOperatorCarriesTheSameNoteTwice) {
+  ScopedObsEnabled on(true);
+  gen::GeneratedDatabase data = gen::MakeDblpLike(200, 300, 3.0);
+  planner::ExtractOptions options;
+  options.large_output_factor = 1e18;  // expand: the co-author self-join
+  auto result = planner::ExtractFromQuery(data.db, data.datalog, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectUniqueNoteKeys(result->profile.root);
+
+  // DISTINCT over the join is a projection whose child is the hash join.
+  EXPECT_TRUE(HasParentOf(result->profile.root, "project_distinct",
+                          "hash_join"));
 }
 
 TEST(SlowLogTest, CapturesAndEvictsBeyondCapacity) {

@@ -260,6 +260,8 @@ ResultSet ExpectEngineParity(const Database& db, const PlanNode& plan) {
     auto rs = columnar.Execute(plan);
     EXPECT_TRUE(rs.ok()) << rs.status().ToString();
     EXPECT_EQ(rs->rows, oracle->rows) << "threads=" << threads;
+    EXPECT_EQ(rs->schema.NumColumns(), oracle->schema.NumColumns())
+        << "threads=" << threads;
   }
   return std::move(oracle).ValueOrDie();
 }
@@ -401,15 +403,15 @@ TEST(ExecutorTest, SemiJoinFilterOnDictColumn) {
   EXPECT_EQ(rs.NumRows(), 3u);
 }
 
-// The fused morsel pipeline (DISTINCT directly above a hash join) must be
-// indistinguishable from the unfused operator chain: same survivors, same
-// order, same row-id tuples — for every thread count and key encoding.
-TEST(ExecutorTest, FusedJoinDistinctMatchesUnfusedBitwise) {
+// DISTINCT directly above a hash join: the columnar chain (partitioned
+// join, then the first-occurrence set) must match the row engine on
+// skewed key multiplicity, NULL keys, and inputs large enough to cross the
+// parallel probe/DISTINCT thresholds.
+TEST(ExecutorTest, JoinDistinctMatchesRowEngine) {
   Database db;
   Table t("R", Schema({{"k", ValueType::kInt64}, {"v", ValueType::kInt64}}));
-  // Skewed key multiplicity, NULL keys, enough rows to cross the parallel
-  // probe/DISTINCT thresholds; v % 41 makes the projected pairs repeat so
-  // DISTINCT actually drops most of the join output.
+  // v % 41 makes the projected pairs repeat, so DISTINCT actually drops
+  // most of the join output.
   for (int64_t i = 0; i < 30000; ++i) {
     t.AppendUnchecked(
         {i % 11 == 0 ? Value() : Value(i % 499), Value(i % 41)});
@@ -420,32 +422,11 @@ TEST(ExecutorTest, FusedJoinDistinctMatchesUnfusedBitwise) {
       std::make_unique<ScanNode>("R"), std::make_unique<ScanNode>("R"), 0, 0);
   ProjectNode plan(std::move(join), std::vector<size_t>{1, 3},
                    std::vector<std::string>{"a", "b"}, /*distinct=*/true);
-
-  Executor unfused(&db, {.threads = 1, .fuse_join_distinct = false});
-  auto oracle = unfused.ExecuteColumnar(plan);
-  ASSERT_TRUE(oracle.ok());
-  ASSERT_GT(oracle->NumRows(), 0u);
-
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    // fuse_min_output_bytes = 0 forces the morsel pipeline regardless of
-    // the estimated output size; the default (adaptive) config is also
-    // checked — it must be identical whichever branch it picks.
-    for (size_t min_bytes : {size_t{0}, (size_t{32} << 20)}) {
-      Executor fused(&db, {.threads = threads,
-                           .fuse_join_distinct = true,
-                           .fuse_min_output_bytes = min_bytes});
-      auto got = fused.ExecuteColumnar(plan);
-      ASSERT_TRUE(got.ok()) << "threads=" << threads;
-      // Row-id tuples are the strongest equality: identical survivors in
-      // identical order over identical bindings.
-      EXPECT_EQ(got->tuples, oracle->tuples)
-          << "threads=" << threads << " min_bytes=" << min_bytes;
-      EXPECT_EQ(got->Materialize().rows, oracle->Materialize().rows);
-    }
-  }
+  ResultSet rs = ExpectEngineParity(db, plan);
+  EXPECT_EQ(rs.NumRows(), 41u * 41u);
 }
 
-TEST(ExecutorTest, FusedJoinDistinctOnDictAndMixedKeys) {
+TEST(ExecutorTest, JoinDistinctOnDictAndMixedKeysMatchesRowEngine) {
   Database db;
   Table t("S", Schema({{"who", ValueType::kString},
                        {"topic", ValueType::kString}}));
@@ -466,18 +447,12 @@ TEST(ExecutorTest, FusedJoinDistinctOnDictAndMixedKeys) {
         0);
     ProjectNode plan(std::move(join), std::vector<size_t>{0, 1},
                      std::vector<std::string>{"a", "b"}, /*distinct=*/true);
-    Executor unfused(&db, {.threads = 4, .fuse_join_distinct = false});
-    Executor fused(&db, {.threads = 4,
-                         .fuse_join_distinct = true,
-                         .fuse_min_output_bytes = 0});
-    auto want = unfused.ExecuteColumnar(plan);
-    auto got = fused.ExecuteColumnar(plan);
-    ASSERT_TRUE(want.ok() && got.ok()) << right;
-    EXPECT_EQ(got->tuples, want->tuples) << right;
+    ResultSet rs = ExpectEngineParity(db, plan);
+    EXPECT_GT(rs.NumRows(), 0u) << right;
   }
 }
 
-TEST(ExecutorTest, FusedJoinDistinctEmptyAndImpossibleJoins) {
+TEST(ExecutorTest, JoinDistinctOverImpossibleJoinIsEmpty) {
   Database db;
   Table a("A", Schema({{"k", ValueType::kInt64}}));
   a.AppendUnchecked({Value(int64_t{1})});
@@ -486,17 +461,15 @@ TEST(ExecutorTest, FusedJoinDistinctEmptyAndImpossibleJoins) {
   b.AppendUnchecked({Value("x")});
   db.PutTable(std::move(b));
 
-  // int64 ⋈ string can never match; the fused path must still return the
-  // correct (empty) result with the correct schema.
+  // int64 ⋈ string can never match; DISTINCT over it must still return
+  // the correct (empty) result with the correct schema.
   auto join = std::make_unique<HashJoinNode>(
       std::make_unique<ScanNode>("A"), std::make_unique<ScanNode>("B"), 0, 0);
   ProjectNode plan(std::move(join), std::vector<size_t>{0, 1},
                    std::vector<std::string>{"a", "b"}, /*distinct=*/true);
-  Executor ex(&db, {.fuse_join_distinct = true, .fuse_min_output_bytes = 0});
-  auto rs = ex.Execute(plan);
-  ASSERT_TRUE(rs.ok());
-  EXPECT_EQ(rs->NumRows(), 0u);
-  EXPECT_EQ(rs->schema.NumColumns(), 2u);
+  ResultSet rs = ExpectEngineParity(db, plan);
+  EXPECT_EQ(rs.NumRows(), 0u);
+  EXPECT_EQ(rs.schema.NumColumns(), 2u);
 }
 
 TEST(PlanSqlTest, RendersReadableSql) {
