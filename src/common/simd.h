@@ -159,12 +159,12 @@ inline std::optional<int64_t> MinInt64WithDoubleGreater(double bound) {
 
 // ------------------------------------------------- hash-table tag groups
 
-/// One-byte tags for SIMD group probing of the flat open-addressing hash
-/// tables: each slot carries 7 bits of its key's hash (distinct from the
-/// empty marker), and a probe compares 16 tags per step with one SSE2
-/// compare+movemask instead of walking slots one at a time. Probes
-/// examine candidate slots in exactly the scalar linear-probe order, so
-/// table layout and lookup results are bit-identical across tiers.
+/// One-byte tags for group probing of the flat open-addressing hash
+/// tables (common/flat_table.h, their only client): each slot carries 7
+/// bits of its key's hash (distinct from the empty marker), and a probe
+/// compares 16 tags per step with one SSE2 compare+movemask instead of
+/// walking slots one at a time. SSE2 is baseline x86-64, so these take no
+/// tier dispatch; other platforms get the portable loop.
 inline constexpr uint8_t kTagEmpty = 0xff;
 inline constexpr size_t kTagGroupWidth = 16;
 

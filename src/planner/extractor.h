@@ -37,12 +37,6 @@ struct ExtractOptions {
   /// typically the graph service's pool. When null and threads != 1, the
   /// extractor fans rules out on scoped threads instead.
   ThreadPool* pool = nullptr;
-  /// Semi-join pushdown of the Nodes filter: edge-rule scans that bind
-  /// ID1/ID2 drop rows whose key is not a real node *inside the query*
-  /// instead of during graph assembly. Never changes the extracted graph
-  /// (the parity suite covers it); it shrinks join/DISTINCT inputs when
-  /// the Nodes rules are selective. rows_scanned shrinks accordingly.
-  bool semi_join_pushdown = false;
   /// Request lifecycle context threaded into every executed query and
   /// checked at rule/assembly stage boundaries: cooperative cancel flag,
   /// absolute deadline, and per-request transient-memory budget. A
@@ -96,8 +90,9 @@ Result<ExtractionResult> ExtractFromQuery(const rel::Database& db,
 /// when identical, else a description of the first difference. The
 /// parity suite and bench gate use this to prove the parallel pipeline
 /// reproduces the serial output bit for bit. `compare_scan_counts`
-/// disables the rows_scanned check — semi-join pushdown legitimately
-/// scans fewer rows while producing the identical graph.
+/// disables the rows_scanned check — a delta-patched extraction
+/// legitimately scans only the delta rows (and the semi-join-reduced
+/// neighbors) while producing the identical graph.
 std::string DiffExtraction(const ExtractionResult& a,
                            const ExtractionResult& b,
                            bool compare_scan_counts = true);

@@ -9,54 +9,50 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "common/hash.h"
 #include "relational/value.h"
 
 namespace graphgen::planner {
 
-/// Flat open-addressing map from int64 keys to 32-bit ids (linear probing,
-/// power-of-two capacity, no per-node allocation). Insert-only — exactly
-/// the shape of the node-id and virtual-id tables. Shared between the
+/// Flat open-addressing map from int64 keys to 32-bit ids on the shared
+/// FlatTable core (tag-probed, power-of-two capacity, no per-node
+/// allocation). Per slot: key + id + the core's tag byte; the hash is
+/// recomputed on growth rather than cached. Insert-only — exactly the
+/// shape of the node-id and virtual-id tables. Shared between the
 /// extractor's assembly loop and the incremental patch path (which carries
 /// these tables across extractions as part of its persistent state).
+/// Iteration order follows slot layout and is not part of the contract.
 class FlatInt64Map {
  public:
   static constexpr uint32_t kNotFound = 0xffffffffu;
 
-  FlatInt64Map() { Rehash(64); }
+  FlatInt64Map() : keys_(table_.capacity()), vals_(table_.capacity()) {}
 
   uint32_t Find(int64_t key) const {
-    size_t pos = MixInt64(static_cast<uint64_t>(key)) & mask_;
-    for (;;) {
-      if (used_[pos] == 0) return kNotFound;
-      if (keys_[pos] == key) return vals_[pos];
-      pos = (pos + 1) & mask_;
-    }
+    const FlatTable::Probe p =
+        table_.Find(Hash(key), [&](size_t s) { return keys_[s] == key; });
+    return p.found ? vals_[p.slot] : kNotFound;
   }
 
   // Existing id of `key`, or the result of make() (invoked exactly once,
   // only for a new key).
   template <typename Make>
   uint32_t GetOrInsert(int64_t key, Make make) {
-    if ((size_ + 1) * 4 >= (mask_ + 1) * 3) Grow();
-    size_t pos = MixInt64(static_cast<uint64_t>(key)) & mask_;
-    for (;;) {
-      if (used_[pos] == 0) {
-        used_[pos] = 1;
-        keys_[pos] = key;
-        vals_[pos] = make();
-        ++size_;
-        return vals_[pos];
-      }
-      if (keys_[pos] == key) return vals_[pos];
-      pos = (pos + 1) & mask_;
+    if (table_.Full()) Grow();
+    const FlatTable::Probe p = table_.FindOrInsert(
+        Hash(key), [&](size_t s) { return keys_[s] == key; });
+    if (!p.found) {
+      keys_[p.slot] = key;
+      vals_[p.slot] = make();
     }
+    return vals_[p.slot];
   }
 
   template <typename Fn>
   void ForEach(Fn fn) const {
-    for (size_t i = 0; i <= mask_; ++i) {
-      if (used_[i] != 0) fn(keys_[i], vals_[i]);
+    for (size_t i = 0; i < keys_.size(); ++i) {
+      if (table_.Occupied(i)) fn(keys_[i], vals_[i]);
     }
   }
 
@@ -64,46 +60,39 @@ class FlatInt64Map {
   /// virtual-node renumbering does). Keys must not be changed.
   template <typename Fn>
   void ForEachMutable(Fn fn) {
-    for (size_t i = 0; i <= mask_; ++i) {
-      if (used_[i] != 0) fn(keys_[i], vals_[i]);
+    for (size_t i = 0; i < keys_.size(); ++i) {
+      if (table_.Occupied(i)) fn(keys_[i], vals_[i]);
     }
   }
 
-  size_t size() const { return size_; }
+  size_t size() const { return table_.size(); }
 
   size_t MemoryBytes() const {
     return keys_.capacity() * sizeof(int64_t) +
-           vals_.capacity() * sizeof(uint32_t) + used_.capacity();
+           vals_.capacity() * sizeof(uint32_t) + table_.MemoryBytes();
   }
 
  private:
-  void Rehash(size_t cap) {
-    keys_.assign(cap, 0);
-    vals_.assign(cap, 0);
-    used_.assign(cap, 0);
-    mask_ = cap - 1;
+  static uint64_t Hash(int64_t key) {
+    return MixInt64(static_cast<uint64_t>(key));
   }
 
   void Grow() {
-    std::vector<int64_t> okeys = std::move(keys_);
-    std::vector<uint32_t> ovals = std::move(vals_);
-    std::vector<uint8_t> oused = std::move(used_);
-    Rehash((mask_ + 1) * 2);
-    for (size_t i = 0; i < oused.size(); ++i) {
-      if (oused[i] == 0) continue;
-      size_t pos = MixInt64(static_cast<uint64_t>(okeys[i])) & mask_;
-      while (used_[pos] != 0) pos = (pos + 1) & mask_;
-      used_[pos] = 1;
-      keys_[pos] = okeys[i];
-      vals_[pos] = ovals[i];
-    }
+    const size_t cap = 2 * table_.capacity();
+    std::vector<int64_t> okeys(cap);
+    std::vector<uint32_t> ovals(cap);
+    okeys.swap(keys_);
+    ovals.swap(vals_);
+    table_.Grow([&](size_t s) { return Hash(okeys[s]); },
+                [&](size_t from, size_t to) {
+                  keys_[to] = okeys[from];
+                  vals_[to] = ovals[from];
+                });
   }
 
+  FlatTable table_;
   std::vector<int64_t> keys_;
   std::vector<uint32_t> vals_;
-  std::vector<uint8_t> used_;
-  uint64_t mask_ = 0;
-  size_t size_ = 0;
 };
 
 struct TransparentStringHash {

@@ -7,10 +7,9 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include <bit>
-
 #include "common/cancel.h"
 #include "common/faultpoints.h"
+#include "common/flat_table.h"
 #include "common/hash.h"
 #include "common/parallel.h"
 #include "common/simd.h"
@@ -33,8 +32,6 @@ struct ExecMetrics {
   obs::Counter* distinct_rows_out;
   obs::Counter* simd_scan_vector;
   obs::Counter* simd_scan_scalar;
-  obs::Counter* simd_probe_vector;
-  obs::Counter* simd_probe_scalar;
   obs::Counter* simd_translate_vector;
   obs::Counter* simd_translate_scalar;
 };
@@ -52,8 +49,6 @@ const ExecMetrics& Metrics() {
     em.distinct_rows_out = r.GetCounter("query.distinct.rows_out");
     em.simd_scan_vector = r.GetCounter("query.simd.scan_vector");
     em.simd_scan_scalar = r.GetCounter("query.simd.scan_scalar");
-    em.simd_probe_vector = r.GetCounter("query.simd.probe_vector");
-    em.simd_probe_scalar = r.GetCounter("query.simd.probe_scalar");
     em.simd_translate_vector = r.GetCounter("query.simd.translate_vector");
     em.simd_translate_scalar = r.GetCounter("query.simd.translate_scalar");
     return em;
@@ -500,23 +495,6 @@ CompiledSemiJoin CompileSemiJoin(const ColumnVector& col,
 
 // ---------------------------------------------------- typed join kernels
 
-// Capacity policy for the join/DISTINCT slot tables. The scalar walk
-// inspects one slot per step, so it needs headroom — at most 1/2 load.
-// Group probing scans 16 tags per step and stays cheap in long runs, so
-// vec-mode tables run up to 7/8 load instead: ~45% less slot memory for
-// the same key set, which is the point of carrying the tag array at all.
-// Capacity only affects slot placement, never results or output order,
-// so the two policies stay bit-compatible.
-size_t TableCapacity(size_t n, bool vec) {
-  size_t cap = 16;
-  if (vec) {
-    while (7 * cap < 8 * n) cap <<= 1;
-  } else {
-    while (cap < 2 * n) cap <<= 1;
-  }
-  return cap;
-}
-
 // The DISTINCT sets seed their slot tables at this many keys and double
 // on load-factor trips instead of presizing for the offer count: on
 // duplicate-heavy inputs the offer count overstates the key count by
@@ -532,182 +510,68 @@ constexpr size_t kDistinctSeedSlots = 64 * 1024;
 // untouched (a table growth between hint and probe only wastes the hint).
 constexpr size_t kProbePrefetchDist = 16;
 
-// Grow when the next insert could push occupancy past 1/2 (scalar walk)
-// or 7/8 (group probing) — the loads TableCapacity provisions for.
-size_t GrowThreshold(size_t cap, bool vec) {
-  return vec ? cap - cap / 8 : cap / 2;
-}
-
-// For group probing: the bits of `match` at positions strictly before the
-// lowest set bit of `stop` (all bits when stop == 0). Candidates at or
-// past the first empty slot can never hold the probed key — linear
-// probing would have claimed that empty slot first.
-inline uint32_t BitsBeforeFirst(uint32_t match, uint32_t stop) {
-  if (stop == 0) return match;
-  return match & ((stop & (~stop + 1u)) - 1u);
-}
-
 // Open-addressing hash table from Key to an ascending chain of build row
-// ids. Slots are flat arrays (no per-node allocation, linear probing);
-// chains thread through one `next` array indexed by build row — the array
-// is shared across partitions (partitions own disjoint rows), so chain
-// memory is paid once, not per partition. Rows must be inserted in
-// ascending order so chains stay ascending.
-//
-// With `use_vec` the table keeps a parallel 7-bit tag per slot
-// (simd::TagOfHash; 0xff = empty) and probes compare 16 tags per step
-// with one SSE2 compare+movemask instead of touching full slots one at a
-// time. The first 15 tags are mirrored past the end so a group load never
-// wraps. Candidates are examined in exactly the scalar linear-probe
-// order and stop at the first empty slot; group probing stays cheap in
-// long occupied runs, which is what lets vec tables allocate the denser
-// TableCapacity tier. Slot placement differs from a scalar-mode table
-// (capacity differs), but chain order and every lookup result are
-// identical — output never observes the layout.
+// ids, on the shared FlatTable core (placement and tags there; keys,
+// cached hashes and chain ends here, per slot). Sized once for the
+// partition's rows, so it never grows. Chains thread through one `next`
+// array indexed by build row — the array is shared across partitions
+// (partitions own disjoint rows), so chain memory is paid once, not per
+// partition. Rows must be inserted in ascending order so chains stay
+// ascending.
 template <typename Key>
 struct FlatChainTable {
-  std::vector<Key> keys;      // per slot; meaningful when head >= 0
+  FlatTable table;
+  std::vector<Key> keys;      // per slot
   std::vector<int64_t> hash;  // per slot, cached full hash
-  std::vector<int32_t> head;  // per slot, first build row or -1 (empty)
+  std::vector<int32_t> head;  // per slot, first build row
   std::vector<int32_t> tail;  // per slot, last build row of the chain
   std::vector<uint32_t> count;  // per slot, chain length (match estimates)
-  std::vector<uint8_t> tags;  // per slot + 15 mirror bytes; group probing
   int32_t* next = nullptr;    // shared: per build row, next equal-key row
-  uint64_t mask = 0;
-  bool vec = false;
 
-  void Init(size_t rows_in_partition, int32_t* shared_next, bool use_vec) {
-    const size_t cap = TableCapacity(rows_in_partition, use_vec);
-    mask = cap - 1;
+  void Init(size_t rows_in_partition, int32_t* shared_next) {
+    table = FlatTable(rows_in_partition);
+    const size_t cap = table.capacity();
     keys.resize(cap);
     hash.resize(cap);
-    head.assign(cap, -1);
+    head.resize(cap);
     tail.resize(cap);
-    count.assign(cap, 0);
+    count.resize(cap);
     next = shared_next;
-    vec = use_vec;
-    if (vec) tags.assign(cap + simd::kTagGroupWidth - 1, simd::kTagEmpty);
-  }
-
-  void SetTag(size_t pos, uint8_t tag) {
-    tags[pos] = tag;
-    if (pos < simd::kTagGroupWidth - 1) tags[mask + 1 + pos] = tag;
   }
 
   void Insert(const Key& k, uint64_t h, uint32_t row) {
-    if (vec) {
-      InsertVec(k, h, row);
-      return;
+    const FlatTable::Probe p = table.FindOrInsert(h, Equal(k, h));
+    const size_t s = p.slot;
+    if (p.found) {
+      next[tail[s]] = static_cast<int32_t>(row);
+      ++count[s];
+    } else {
+      keys[s] = k;
+      hash[s] = static_cast<int64_t>(h);
+      head[s] = static_cast<int32_t>(row);
+      count[s] = 1;
     }
-    size_t pos = h & mask;
-    for (;;) {
-      if (head[pos] < 0) {
-        Claim(pos, k, h, row);
-        return;
-      }
-      if (hash[pos] == static_cast<int64_t>(h) && keys[pos] == k) {
-        Append(pos, row);
-        return;
-      }
-      pos = (pos + 1) & mask;
-    }
+    tail[s] = static_cast<int32_t>(row);
+    next[row] = -1;
   }
 
   // First build row with key k, or -1.
   int32_t Find(const Key& k, uint64_t h) const {
-    if (vec) {
-      const int64_t slot = FindSlotVec(k, h);
-      return slot < 0 ? -1 : head[slot];
-    }
-    size_t pos = h & mask;
-    for (;;) {
-      if (head[pos] < 0) return -1;
-      if (hash[pos] == static_cast<int64_t>(h) && keys[pos] == k) {
-        return head[pos];
-      }
-      pos = (pos + 1) & mask;
-    }
+    const FlatTable::Probe p = table.Find(h, Equal(k, h));
+    return p.found ? head[p.slot] : -1;
   }
 
   // Number of build rows with key k (0 when absent).
   uint32_t CountFor(const Key& k, uint64_t h) const {
-    if (vec) {
-      const int64_t slot = FindSlotVec(k, h);
-      return slot < 0 ? 0 : count[slot];
-    }
-    size_t pos = h & mask;
-    for (;;) {
-      if (head[pos] < 0) return 0;
-      if (hash[pos] == static_cast<int64_t>(h) && keys[pos] == k) {
-        return count[pos];
-      }
-      pos = (pos + 1) & mask;
-    }
+    const FlatTable::Probe p = table.Find(h, Equal(k, h));
+    return p.found ? count[p.slot] : 0;
   }
 
  private:
-  void Claim(size_t pos, const Key& k, uint64_t h, uint32_t row) {
-    keys[pos] = k;
-    hash[pos] = static_cast<int64_t>(h);
-    head[pos] = static_cast<int32_t>(row);
-    tail[pos] = static_cast<int32_t>(row);
-    count[pos] = 1;
-    next[row] = -1;
-  }
-
-  void Append(size_t pos, uint32_t row) {
-    next[tail[pos]] = static_cast<int32_t>(row);
-    tail[pos] = static_cast<int32_t>(row);
-    ++count[pos];
-    next[row] = -1;
-  }
-
-  void InsertVec(const Key& k, uint64_t h, uint32_t row) {
-    const uint8_t tag = simd::TagOfHash(h);
-    size_t pos = h & mask;
-    for (;;) {
-      const uint8_t* group = tags.data() + pos;
-      const uint32_t empty = simd::TagEmpty16(group);
-      uint32_t match = BitsBeforeFirst(simd::TagMatch16(group, tag), empty);
-      while (match != 0) {
-        const size_t cand =
-            (pos + static_cast<size_t>(std::countr_zero(match))) & mask;
-        if (hash[cand] == static_cast<int64_t>(h) && keys[cand] == k) {
-          Append(cand, row);
-          return;
-        }
-        match &= match - 1;
-      }
-      if (empty != 0) {
-        const size_t slot =
-            (pos + static_cast<size_t>(std::countr_zero(empty))) & mask;
-        Claim(slot, k, h, row);
-        SetTag(slot, tag);
-        return;
-      }
-      pos = (pos + simd::kTagGroupWidth) & mask;
-    }
-  }
-
-  // Slot index of key k, or -1 when the probe hits an empty slot first.
-  int64_t FindSlotVec(const Key& k, uint64_t h) const {
-    const uint8_t tag = simd::TagOfHash(h);
-    size_t pos = h & mask;
-    for (;;) {
-      const uint8_t* group = tags.data() + pos;
-      const uint32_t empty = simd::TagEmpty16(group);
-      uint32_t match = BitsBeforeFirst(simd::TagMatch16(group, tag), empty);
-      while (match != 0) {
-        const size_t cand =
-            (pos + static_cast<size_t>(std::countr_zero(match))) & mask;
-        if (hash[cand] == static_cast<int64_t>(h) && keys[cand] == k) {
-          return static_cast<int64_t>(cand);
-        }
-        match &= match - 1;
-      }
-      if (empty != 0) return -1;
-      pos = (pos + simd::kTagGroupWidth) & mask;
-    }
+  auto Equal(const Key& k, uint64_t h) const {
+    return [this, &k, h](size_t s) {
+      return hash[s] == static_cast<int64_t>(h) && keys[s] == k;
+    };
   }
 };
 
@@ -802,148 +666,63 @@ uint64_t DistinctHash(const std::vector<DistinctCol>& cols,
 }
 
 // Open-addressing first-occurrence set over row ids with precomputed
-// hashes. Rows must be offered in ascending order; survivors come out in
-// that same order. With `use_vec` probes run over a parallel tag array,
-// 16 slots per step (same results as the scalar walk — see
-// FlatChainTable). The table is sized for the keys seen so far and
-// doubles on load-factor trips, so duplicate-heavy inputs probe a
-// cache-resident table instead of one sized for the full input.
+// hashes, on the shared FlatTable core (one row id per slot here). Rows
+// must be offered in ascending order; survivors come out in that same
+// order. The table is sized for the keys seen so far and doubles on
+// load-factor trips, so duplicate-heavy inputs probe a cache-resident
+// table instead of one sized for the full input.
 class FlatDistinctSet {
  public:
   FlatDistinctSet(size_t expected_rows, const std::vector<uint64_t>& hashes,
-                  const RowIdResult& rows, const std::vector<DistinctCol>& cols,
-                  bool use_vec)
-      : hashes_(hashes), rows_(rows), cols_(cols), vec_(use_vec) {
-    const size_t cap =
-        TableCapacity(std::min(expected_rows, kDistinctSeedSlots), use_vec);
-    mask_ = cap - 1;
-    grow_at_ = GrowThreshold(cap, vec_);
-    slots_.assign(cap, kEmptySlot);
-    if (vec_) tags_.assign(cap + simd::kTagGroupWidth - 1, simd::kTagEmpty);
-  }
+                  const RowIdResult& rows, const std::vector<DistinctCol>& cols)
+      : hashes_(hashes),
+        rows_(rows),
+        cols_(cols),
+        table_(std::min(expected_rows, kDistinctSeedSlots)),
+        slots_(table_.capacity()) {}
 
   // Cache hint for a future Insert(i): pulls the first probe group of
   // row i's slot walk. See kProbePrefetchDist.
   void PrefetchSlot(uint32_t i) const {
-    const size_t pos = hashes_[i] & mask_;
-    __builtin_prefetch(slots_.data() + pos);
-    if (vec_) __builtin_prefetch(tags_.data() + pos);
+    table_.Prefetch(hashes_[i], slots_.data());
   }
 
   // Second pipeline stage: by the time this runs the slot group is in
   // cache (PrefetchSlot ran a distance earlier), so the group can be
-  // read — not just prefetched — and the *candidates'* hash and tuple
-  // records pulled in. Duplicate offers otherwise serialize on that
-  // dependent load, which is the dominant miss on low-duplication inputs
-  // once the input outgrows the cache. Read-only: the real Insert
-  // re-probes from scratch, so a stale view (intervening inserts or
-  // growth) only weakens the hint.
+  // read — not just prefetched — and the *candidates'* tuple records
+  // pulled in. Duplicate offers otherwise serialize on that dependent
+  // load, which is the dominant miss on low-duplication inputs once the
+  // input outgrows the cache. Read-only: the real Insert re-probes from
+  // scratch, so a stale view (intervening inserts or growth) only
+  // weakens the hint.
   void WarmProbe(uint32_t i) const {
-    const uint64_t h = hashes_[i];
-    const size_t pos = h & mask_;
     const size_t w = rows_.Width();
-    if (!vec_) {
-      const uint32_t r = slots_[pos];
-      if (r != kEmptySlot) {
-        __builtin_prefetch(hashes_.data() + r);
-        __builtin_prefetch(&rows_.tuples[static_cast<size_t>(r) * w]);
-      }
-      return;
-    }
-    const uint8_t* group = tags_.data() + pos;
-    uint32_t match = BitsBeforeFirst(
-        simd::TagMatch16(group, simd::TagOfHash(h)), simd::TagEmpty16(group));
-    while (match != 0) {
-      const size_t cand =
-          (pos + static_cast<size_t>(std::countr_zero(match))) & mask_;
-      const uint32_t r = slots_[cand];
-      // Vec probes verify by tuple compare alone, so only the tuple
-      // line needs warming.
-      if (r != kEmptySlot) {
-        __builtin_prefetch(&rows_.tuples[static_cast<size_t>(r) * w]);
-      }
-      match &= match - 1;
-    }
+    table_.ForEachHomeCandidate(hashes_[i], [&](size_t slot) {
+      __builtin_prefetch(&rows_.tuples[static_cast<size_t>(slots_[slot]) * w]);
+    });
   }
 
   // True if row i is the first occurrence of its key.
   bool Insert(uint32_t i) {
-    if (size_ >= grow_at_) Grow();
-    const uint64_t h = hashes_[i];
-    if (vec_) {
-      const uint8_t tag = simd::TagOfHash(h);
-      size_t pos = h & mask_;
-      for (;;) {
-        const uint8_t* group = tags_.data() + pos;
-        const uint32_t empty = simd::TagEmpty16(group);
-        uint32_t match = BitsBeforeFirst(simd::TagMatch16(group, tag), empty);
-        while (match != 0) {
-          const size_t cand =
-              (pos + static_cast<size_t>(std::countr_zero(match))) & mask_;
-          const uint32_t r = slots_[cand];
-          // No stored-hash pre-check here: the 7-bit tag already filtered
-          // to ~1% false candidates, RowsEqual alone decides, and skipping
-          // hashes_[r] saves a dependent cache line per duplicate offer.
-          if (RowsEqual(r, i)) return false;
-          match &= match - 1;
-        }
-        if (empty != 0) {
-          const size_t slot =
-              (pos + static_cast<size_t>(std::countr_zero(empty))) & mask_;
-          slots_[slot] = i;
-          tags_[slot] = tag;
-          if (slot < simd::kTagGroupWidth - 1) {
-            tags_[mask_ + 1 + slot] = tag;
-          }
-          ++size_;
-          return true;
-        }
-        pos = (pos + simd::kTagGroupWidth) & mask_;
-      }
-    }
-    size_t pos = h & mask_;
-    for (;;) {
-      const uint32_t r = slots_[pos];
-      if (r == kEmptySlot) {
-        slots_[pos] = i;
-        ++size_;
-        return true;
-      }
-      if (hashes_[r] == h && RowsEqual(r, i)) return false;
-      pos = (pos + 1) & mask_;
-    }
+    if (table_.Full()) Grow();
+    // No stored-hash pre-check: the 7-bit tag already filtered to ~1%
+    // false candidates, RowsEqual alone decides, and skipping hashes_[r]
+    // saves a dependent cache line per duplicate offer.
+    const FlatTable::Probe p = table_.FindOrInsert(
+        hashes_[i], [&](size_t s) { return RowsEqual(slots_[s], i); });
+    if (p.found) return false;
+    slots_[p.slot] = i;
+    return true;
   }
 
  private:
-  static constexpr uint32_t kEmptySlot = 0xffffffffu;
-
-  // Doubles the slot table and reinserts the retained rows. They hold
-  // pairwise distinct keys, so each lands in the first empty slot of its
-  // probe sequence — the same slot both the scalar walk and the group
-  // scan would pick (the group scan takes the lowest empty lane, which is
-  // the linear-first empty). Growth relocates slots only; survivors and
-  // their order are untouched.
+  // Doubles the slot table and re-places the retained rows. Growth
+  // relocates slots only; survivors and their order are untouched.
   void Grow() {
-    const size_t cap = 2 * (mask_ + 1);
-    std::vector<uint32_t> old;
+    std::vector<uint32_t> old(2 * table_.capacity());
     old.swap(slots_);
-    mask_ = cap - 1;
-    grow_at_ = GrowThreshold(cap, vec_);
-    slots_.assign(cap, kEmptySlot);
-    if (vec_) tags_.assign(cap + simd::kTagGroupWidth - 1, simd::kTagEmpty);
-    for (const uint32_t r : old) {
-      if (r == kEmptySlot) continue;
-      const uint64_t h = hashes_[r];
-      size_t pos = h & mask_;
-      while (slots_[pos] != kEmptySlot) pos = (pos + 1) & mask_;
-      slots_[pos] = r;
-      if (vec_) {
-        tags_[pos] = simd::TagOfHash(h);
-        if (pos < simd::kTagGroupWidth - 1) {
-          tags_[mask_ + 1 + pos] = tags_[pos];
-        }
-      }
-    }
+    table_.Grow([&](size_t s) { return hashes_[old[s]]; },
+                [&](size_t from, size_t to) { slots_[to] = old[from]; });
   }
 
   bool RowsEqual(uint32_t a, uint32_t b) const {
@@ -959,12 +738,8 @@ class FlatDistinctSet {
   const std::vector<uint64_t>& hashes_;
   const RowIdResult& rows_;
   const std::vector<DistinctCol>& cols_;
-  std::vector<uint32_t> slots_;
-  std::vector<uint8_t> tags_;
-  uint64_t mask_ = 0;
-  size_t grow_at_ = 0;
-  size_t size_ = 0;
-  bool vec_ = false;
+  FlatTable table_;
+  std::vector<uint32_t> slots_;  // per slot, survivor row id
 };
 
 // The build phase of the partitioned hash join: typed keys and hashes
@@ -1039,10 +814,9 @@ JoinBuild<Key> BuildJoinTables(size_t bn, size_t threads, HashFn hash,
   constexpr size_t kSlotBytes = sizeof(Key) + sizeof(int64_t) +
                                 2 * sizeof(int32_t) + sizeof(uint32_t) +
                                 sizeof(uint8_t);
-  const bool vec = simd::ActiveTier() == simd::Tier::kAvx2;
   size_t table_bytes = 0;
   for (size_t rows : partition_rows) {
-    table_bytes += TableCapacity(rows, vec) * kSlotBytes;
+    table_bytes += FlatTable::CapacityFor(rows) * kSlotBytes;
   }
   if (Status st = ctx.Charge(table_bytes, "hash-join slot tables");
       !st.ok()) {
@@ -1055,7 +829,7 @@ JoinBuild<Key> BuildJoinTables(size_t bn, size_t threads, HashFn hash,
   ParallelInvoke(jb.partitions, [&](size_t p) {
     if (slot.Failed()) return;
     FlatChainTable<Key>& ht = jb.tables[p];
-    ht.Init(partition_rows[p], jb.chain_next.data(), vec);
+    ht.Init(partition_rows[p], jb.chain_next.data());
     StridedRun(ctx, slot, poll, 0, bn, [&](size_t b, size_t e) {
       for (size_t i = b; i < e; ++i) {
         if (jb.bnull[i] != 0 || jb.bhash[i] % jb.partitions != p) continue;
@@ -1129,7 +903,7 @@ void FillJoinProfInfo(const JoinBuild<Key>& jb, size_t bn,
   for (size_t i = 0; i < bn; ++i) nulls += jb.bnull[i];
   info->build_keys = bn - nulls;
   for (const FlatChainTable<Key>& t : jb.tables) {
-    info->capacity += t.mask + 1;
+    info->capacity += t.table.capacity();
   }
 }
 
@@ -1620,9 +1394,6 @@ Result<RowIdResult> Executor::JoinColumnar(const HashJoinNode& node,
   Metrics().join_build_rows->Add(build.NumRows());
   Metrics().join_probe_rows->Add(probe.NumRows());
   Metrics().join_matches->Add(matches);
-  (simd::ActiveTier() == simd::Tier::kAvx2 ? Metrics().simd_probe_vector
-                                           : Metrics().simd_probe_scalar)
-      ->Add(1);
   if (prof != nullptr) {
     prof->rows = static_cast<int64_t>(matches);
     prof->AddStat("build_rows", static_cast<double>(build.NumRows()));
@@ -1680,12 +1451,11 @@ Result<RowIdResult> Executor::ProjectColumnar(const ProjectNode& node,
   // Hash array + first-occurrence slot tables are DISTINCT scratch,
   // refunded when the operator returns; the poll stride keeps an armed
   // deadline responsive even on a single huge partition.
-  const bool vec_tier = simd::ActiveTier() == simd::Tier::kAvx2;
   ScopedCharge scratch;
   GRAPHGEN_RETURN_NOT_OK(scratch.Acquire(
       options_.ctx,
       n * sizeof(uint64_t) +
-          TableCapacity(n, vec_tier) * (sizeof(uint32_t) + sizeof(uint8_t)),
+          FlatTable::CapacityFor(n) * (sizeof(uint32_t) + sizeof(uint8_t)),
       "DISTINCT hash scratch"));
   const bool poll = NeedsPoll(options_.ctx);
   AbortSlot slot;
@@ -1711,7 +1481,7 @@ Result<RowIdResult> Executor::ProjectColumnar(const ProjectNode& node,
           ? std::min(options_.threads, kMaxPartitions)
           : 1;
   if (partitions == 1) {
-    FlatDistinctSet seen(n, hashes, child, cols, vec_tier);
+    FlatDistinctSet seen(n, hashes, child, cols);
     survivors.reserve(n);
     size_t tick = kCancelStrideRows;
     for (size_t i = 0; i < n; ++i) {
@@ -1736,7 +1506,7 @@ Result<RowIdResult> Executor::ProjectColumnar(const ProjectNode& node,
       for (size_t i = 0; i < n; ++i) {
         if (hashes[i] % partitions == p) ++mine;
       }
-      FlatDistinctSet seen(mine, hashes, child, cols, vec_tier);
+      FlatDistinctSet seen(mine, hashes, child, cols);
       StridedRun(options_.ctx, slot, poll, 0, n, [&](size_t b, size_t e) {
         for (size_t i = b; i < e; ++i) {
           if (hashes[i] % partitions != p) continue;
@@ -1775,13 +1545,10 @@ Result<RowIdResult> Executor::ProjectColumnar(const ProjectNode& node,
       options_.threads);
   Metrics().distinct_rows_in->Add(n);
   Metrics().distinct_rows_out->Add(survivors.size());
-  (vec_tier ? Metrics().simd_probe_vector : Metrics().simd_probe_scalar)
-      ->Add(1);
   if (prof != nullptr) {
     prof->rows = static_cast<int64_t>(survivors.size());
     prof->AddStat("distinct_in", static_cast<double>(n));
     prof->AddStat("distinct_partitions", static_cast<double>(partitions));
-    prof->AddNote("simd", simd::TierName());
   }
   return out;
 }

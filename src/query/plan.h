@@ -45,11 +45,11 @@ struct Predicate {
   bool MatchesValue(const rel::Value& v) const;
 };
 
-/// A membership set for semi-join pushdown: the extractor collects every
-/// node key once and scans of edge-rule base tables drop rows whose
-/// endpoint key cannot possibly bind a real node. Keys are bucketed by
-/// type so typed scan paths probe flat int64/string sets instead of
-/// hashing Values.
+/// A membership set for semi-join filters: the incremental patch path
+/// collects a delta's join keys (or newly real node keys) and scans of
+/// the other atoms drop rows whose key cannot join with them. Keys are
+/// bucketed by type so typed scan paths probe flat int64/string sets
+/// instead of hashing Values.
 struct KeyFilter {
   std::unordered_set<int64_t> ints;
   std::unordered_set<std::string> strings;
@@ -89,7 +89,7 @@ class PlanNode {
 };
 
 /// Sequential scan of a base table with optional predicates and optional
-/// semi-join key filters (Nodes-filter pushdown).
+/// semi-join key filters (the incremental patch path's delta reduction).
 ///
 /// A scan can additionally be *ranged* to a half-open row-id window
 /// [row_begin, row_end): the delta-scan mode of incremental extraction,

@@ -8,7 +8,9 @@
 
 #include "gen/relational_generators.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
 #include "planner/extractor.h"
+#include "query/executor.h"
 
 namespace graphgen {
 namespace {
@@ -232,6 +234,85 @@ TEST(CancelLatencyTest, MidFlightCancellationUnwindsQuickly) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
   EXPECT_LT(after_cancel, 10.0) << "cancellation latency out of bounds";
+}
+
+// Mid-join cancellation: a self-join over 1M rows (two rows per key, so
+// 2M matches) run straight through the Executor. A watcher cancels the
+// moment both input scans have reported their rows — the hash join is
+// then between its children and its output, in the build, count or emit
+// phase. The join must unwind through its own polls: the request ends
+// Cancelled, the profile shows the join node with both scans complete,
+// and the join never finished (query.join.build_rows did not move).
+TEST(CancelLatencyTest, CancelInsideHashJoinUnwindsQuickly) {
+  constexpr size_t kRows = 1 << 20;
+  std::vector<int64_t> keys(kRows);
+  std::vector<int64_t> vals(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    keys[i] = static_cast<int64_t>(i / 2);
+    vals[i] = static_cast<int64_t>(i);
+  }
+  std::vector<rel::ColumnVector> cols;
+  cols.push_back(rel::ColumnVector::OfInt64(std::move(keys)));
+  cols.push_back(rel::ColumnVector::OfInt64(std::move(vals)));
+  rel::Database db;
+  db.PutTable(rel::Table::FromColumns(
+      "L",
+      rel::Schema({{"k", rel::ValueType::kInt64}, {"v", rel::ValueType::kInt64}}),
+      std::move(cols)));
+  const query::HashJoinNode join(std::make_unique<query::ScanNode>("L"),
+                                 std::make_unique<query::ScanNode>("L"), 0, 0);
+
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  const obs::Counter* scanned = reg.GetCounter("query.scan.rows_out");
+  const obs::Counter* built = reg.GetCounter("query.join.build_rows");
+  const uint64_t scanned_target = scanned->Value() + 2 * kRows;
+  const uint64_t built_before = built->Value();
+
+  query::ExecOptions options;
+  options.threads = 2;
+  options.ctx.cancel = CancelToken::Cancellable();
+  CancelToken token = options.ctx.cancel;
+  std::atomic<bool> done{false};
+  std::atomic<int64_t> cancel_ns{0};
+  std::thread watcher([&, token] {
+    while (!done.load(std::memory_order_acquire) &&
+           scanned->Value() < scanned_target) {
+    }
+    cancel_ns.store(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now().time_since_epoch())
+                        .count(),
+                    std::memory_order_release);
+    token.RequestCancel();
+  });
+
+  obs::ProfileNode root("query");
+  auto result = query::Executor(&db, options).ExecuteColumnar(join, &root);
+  const int64_t now_ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count();
+  done.store(true, std::memory_order_release);
+  watcher.join();
+  const double after_cancel =
+      (now_ns - cancel_ns.load(std::memory_order_acquire)) * 1e-9;
+
+  ASSERT_FALSE(result.ok()) << "the join finished before the cancel landed";
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+  EXPECT_LT(after_cancel, 10.0) << "cancellation latency out of bounds";
+  // The join was entered and both of its inputs completed, but it did
+  // not: the cancel was observed inside the join itself.
+  EXPECT_EQ(scanned->Value(), scanned_target);
+  EXPECT_EQ(built->Value(), built_before);
+  if (obs::Enabled()) {
+    ASSERT_EQ(root.children.size(), 1u);
+    const obs::ProfileNode& hj = root.children.front();
+    EXPECT_EQ(hj.name, "hash_join");
+    ASSERT_EQ(hj.children.size(), 2u);
+    for (const obs::ProfileNode& scan : hj.children) {
+      EXPECT_EQ(scan.rows, static_cast<int64_t>(kRows));
+    }
+    EXPECT_EQ(hj.rows, -1) << "a finished join records its output rows";
+  }
 }
 
 }  // namespace

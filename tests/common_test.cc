@@ -1,11 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+#include <utility>
+#include <vector>
+
 #include "common/bitmap.h"
+#include "common/flat_table.h"
+#include "common/hash.h"
 #include "common/memory.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/timer.h"
+#include "planner/typed_maps.h"
+#include "test_util.h"
 
 namespace graphgen {
 namespace {
@@ -337,6 +345,203 @@ TEST(TimerTest, MeasuresElapsed) {
   for (int i = 0; i < 100000; ++i) x += i;
   benchmark_sink_ = x;
   EXPECT_GE(t.Seconds(), a);
+}
+
+// ---------------------------------------------------------- flat table core
+
+using testing::CollidingHash;
+using testing::UnmixInt64;
+
+// A first-occurrence map on the FlatTable core, shaped like the tree's
+// clients: payload arrays sized to capacity, equality as a callable on a
+// slot index. Hashes are passed in, so a test controls placement exactly.
+class ProbeMap {
+ public:
+  explicit ProbeMap(size_t n = 0)
+      : table_(n),
+        keys_(table_.capacity()),
+        hashes_(table_.capacity()),
+        vals_(table_.capacity()) {}
+
+  // Equality on a slot, as the core's probe takes it. Defined before its
+  // uses: a deduced return type must be seen first.
+  auto Equal(uint64_t key) const {
+    return [this, key](size_t s) { return keys_[s] == key; };
+  }
+
+  // The value of `key`'s first offer, and whether this offer inserted it.
+  std::pair<int, bool> Offer(uint64_t key, uint64_t h, int val) {
+    if (table_.Full()) Grow();
+    const FlatTable::Probe p = table_.FindOrInsert(h, Equal(key));
+    if (!p.found) {
+      keys_[p.slot] = key;
+      hashes_[p.slot] = h;
+      vals_[p.slot] = val;
+    }
+    return {vals_[p.slot], !p.found};
+  }
+
+  FlatTable::Probe Find(uint64_t key, uint64_t h) const {
+    return table_.Find(h, Equal(key));
+  }
+  int ValueAt(size_t slot) const { return vals_[slot]; }
+  const FlatTable& table() const { return table_; }
+
+ private:
+  void Grow() {
+    const size_t cap = 2 * table_.capacity();
+    std::vector<uint64_t> okeys(cap);
+    std::vector<uint64_t> ohashes(cap);
+    std::vector<int> ovals(cap);
+    okeys.swap(keys_);
+    ohashes.swap(hashes_);
+    ovals.swap(vals_);
+    table_.Grow([&](size_t s) { return ohashes[s]; },
+                [&](size_t from, size_t to) {
+                  keys_[to] = okeys[from];
+                  hashes_[to] = ohashes[from];
+                  vals_[to] = ovals[from];
+                });
+  }
+
+  FlatTable table_;
+  std::vector<uint64_t> keys_;
+  std::vector<uint64_t> hashes_;
+  std::vector<int> vals_;
+};
+
+TEST(FlatTableTest, CapacityIsPowerOfTwoAtSevenEighthsLoad) {
+  EXPECT_EQ(FlatTable::CapacityFor(0), 16u);
+  EXPECT_EQ(FlatTable::CapacityFor(14), 16u);
+  EXPECT_EQ(FlatTable::CapacityFor(15), 32u);
+  EXPECT_EQ(FlatTable::CapacityFor(56), 64u);
+  EXPECT_EQ(FlatTable::CapacityFor(57), 128u);
+  FlatTable t(56);
+  EXPECT_EQ(t.capacity(), 64u);
+  EXPECT_FALSE(t.Full());
+}
+
+TEST(FlatTableTest, CollidingRunCrossesGroupsAndWrapsPastTheEnd) {
+  // 40 keys, one home slot (60 of 64) and one tag: the run covers slots
+  // 60..63 and 0..35, so it crosses two 16-slot group boundaries and wraps
+  // past the end; lookups of slots 0..11 from the group at 60 read the
+  // mirrored tail tags.
+  ProbeMap m(56);
+  ASSERT_EQ(m.table().capacity(), 64u);
+  constexpr uint64_t kHome = 60;
+  constexpr uint64_t kTag = 0x2a;
+  for (uint64_t k = 0; k < 40; ++k) {
+    const auto [val, inserted] =
+        m.Offer(k, CollidingHash(k, kHome, kTag), static_cast<int>(k));
+    EXPECT_TRUE(inserted);
+    EXPECT_EQ(val, static_cast<int>(k));
+  }
+  EXPECT_EQ(m.table().capacity(), 64u);
+  for (uint64_t k = 0; k < 40; ++k) {
+    // Linear-probe placement: the k-th key takes the k-th slot of the run.
+    const FlatTable::Probe p = m.Find(k, CollidingHash(k, kHome, kTag));
+    ASSERT_TRUE(p.found) << k;
+    EXPECT_EQ(p.slot, (kHome + k) % 64) << k;
+    EXPECT_EQ(m.ValueAt(p.slot), static_cast<int>(k));
+    // A repeat offer finds the first occurrence and keeps its value.
+    EXPECT_EQ(m.Offer(k, CollidingHash(k, kHome, kTag), -1),
+              std::make_pair(static_cast<int>(k), false));
+  }
+  // An absent key with the same home and tag walks the whole run and
+  // stops at the first empty slot after it.
+  const FlatTable::Probe miss = m.Find(1000, CollidingHash(1000, kHome, kTag));
+  EXPECT_FALSE(miss.found);
+  EXPECT_EQ(miss.slot, (kHome + 40) % 64);
+  EXPECT_EQ(m.table().size(), 40u);
+}
+
+TEST(FlatTableTest, DistinctKeysWithEqualHashesStayApart) {
+  // Equal full hashes (so equal home and tag): equality alone separates
+  // the keys.
+  ProbeMap m;
+  constexpr uint64_t kHash = 0xfe00'0000'0000'000full;
+  for (uint64_t k = 0; k < 12; ++k) {
+    EXPECT_TRUE(m.Offer(k, kHash, static_cast<int>(k) * 10).second);
+  }
+  for (uint64_t k = 0; k < 12; ++k) {
+    const FlatTable::Probe p = m.Find(k, kHash);
+    ASSERT_TRUE(p.found);
+    EXPECT_EQ(m.ValueAt(p.slot), static_cast<int>(k) * 10);
+  }
+  EXPECT_FALSE(m.Find(12, kHash).found);
+}
+
+TEST(FlatTableTest, DoublingsKeepMappingsAndFirstOccurrences) {
+  // 3000 keys over eight colliding runs (shared low bits survive every
+  // doubling up to 2^20 slots) and three tags, from capacity 16.
+  auto hash = [](uint64_t k) {
+    return CollidingHash(k, (k % 8) * 16 + 3, k % 3);
+  };
+  ProbeMap m;
+  size_t doublings = 0;
+  size_t cap = m.table().capacity();
+  for (uint64_t k = 0; k < 3000; ++k) {
+    ASSERT_TRUE(m.Offer(k, hash(k), static_cast<int>(k)).second);
+    if (m.table().capacity() != cap) {
+      EXPECT_EQ(m.table().capacity(), 2 * cap);
+      cap = m.table().capacity();
+      ++doublings;
+      for (uint64_t j = 0; j <= k; ++j) {
+        const FlatTable::Probe p = m.Find(j, hash(j));
+        ASSERT_TRUE(p.found) << "key " << j << " lost at capacity " << cap;
+        ASSERT_EQ(m.ValueAt(p.slot), static_cast<int>(j));
+      }
+    }
+  }
+  EXPECT_GE(doublings, 8u);
+  EXPECT_LE(8 * m.table().size(), 7 * m.table().capacity());
+  for (uint64_t k = 0; k < 3000; ++k) {
+    EXPECT_EQ(m.Offer(k, hash(k), -1),
+              std::make_pair(static_cast<int>(k), false));
+  }
+  for (uint64_t k = 3000; k < 3100; ++k) {
+    EXPECT_FALSE(m.Find(k, hash(k)).found);
+  }
+}
+
+TEST(FlatTableTest, UnmixInvertsMixInt64) {
+  Rng rng(7);
+  for (int i = 0; i < 1000; ++i) {
+    const uint64_t h = rng.Next();
+    EXPECT_EQ(MixInt64(UnmixInt64(h)), h);
+  }
+}
+
+TEST(FlatInt64MapTest, AdversarialKeysKeepTheirIdsAcrossDoublings) {
+  // Keys chosen so MixInt64 gives them one home (the last slot, in every
+  // capacity up to 2^20: the run wraps past the end at once) and one tag.
+  auto key = [](uint64_t i) {
+    return static_cast<int64_t>(UnmixInt64(CollidingHash(i, 0xfffff, 0x55)));
+  };
+  planner::FlatInt64Map map;
+  for (uint32_t i = 0; i < 300; ++i) {
+    EXPECT_EQ(map.GetOrInsert(key(i), [&] { return i; }), i);
+    for (uint32_t j = 0; j <= i; j += 37) EXPECT_EQ(map.Find(key(j)), j);
+  }
+  EXPECT_EQ(map.size(), 300u);
+  for (uint32_t i = 0; i < 300; ++i) {
+    EXPECT_EQ(map.Find(key(i)), i);
+    bool made = false;
+    EXPECT_EQ(map.GetOrInsert(key(i), [&] {
+      made = true;
+      return 0u;
+    }), i);
+    EXPECT_FALSE(made) << "make() ran for an existing key";
+  }
+  for (uint64_t i = 300; i < 320; ++i) {
+    EXPECT_EQ(map.Find(key(i)), planner::FlatInt64Map::kNotFound);
+  }
+  std::unordered_set<int64_t> seen;
+  map.ForEach([&](int64_t k, uint32_t id) {
+    EXPECT_TRUE(seen.insert(k).second);
+    EXPECT_EQ(k, key(id));
+  });
+  EXPECT_EQ(seen.size(), 300u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Extraction parity fuzz: randomized schemas and datasets (seeded via
 // common/rng, fully reproducible) extracted under every engine × thread
-// count × semi-join pushdown combination and diffed bitwise against the
-// serial row-at-a-time oracle. The datasets deliberately include dangling
+// count combination and diffed bitwise against the serial row-at-a-time
+// oracle. The datasets deliberately include dangling
 // src/dst keys (link rows whose endpoint is not a node), NULL keys,
 // duplicate link rows, heterogeneous key types (int64 / dictionary
 // strings / mixed columns), and chains long enough that factor 0.0
@@ -151,14 +151,12 @@ FuzzCase MakeCase(uint64_t seed) {
 }
 
 ExtractionResult RunExtract(const FuzzCase& fc, double factor,
-                            query::ExecEngine engine, size_t threads,
-                            bool pushdown) {
+                            query::ExecEngine engine, size_t threads) {
   ExtractOptions opts;
   opts.large_output_factor = factor;
   opts.preprocess = false;
   opts.engine = engine;
   opts.threads = threads;
-  opts.semi_join_pushdown = pushdown;
   auto result = ExtractFromQuery(fc.db, fc.datalog, opts);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result).ValueOrDie();
@@ -172,30 +170,13 @@ TEST(ExtractionFuzzTest, RandomizedSchemasAgreeAcrossAllConfigurations) {
     // nodes), 1e18 forces full expansion, 2.0 lets the stats decide.
     for (double factor : {0.0, 2.0, 1e18}) {
       const ExtractionResult oracle =
-          RunExtract(fc, factor, query::ExecEngine::kRowAtATime, 1,
-                     /*pushdown=*/false);
+          RunExtract(fc, factor, query::ExecEngine::kRowAtATime, 1);
       for (const size_t threads : {size_t{1}, size_t{4}}) {
         const ExtractionResult got =
-            RunExtract(fc, factor, query::ExecEngine::kColumnar, threads,
-                       /*pushdown=*/false);
+            RunExtract(fc, factor, query::ExecEngine::kColumnar, threads);
         EXPECT_EQ(DiffExtraction(oracle, got), "")
             << "factor=" << factor << " threads=" << threads;
       }
-      // Pushdown legitimately scans fewer rows; the graph must not move.
-      // The row engine with pushdown is the pushdown oracle for the
-      // columnar pushdown path, scan counts included.
-      const ExtractionResult push_oracle =
-          RunExtract(fc, factor, query::ExecEngine::kRowAtATime, 1,
-                     /*pushdown=*/true);
-      const ExtractionResult push_col =
-          RunExtract(fc, factor, query::ExecEngine::kColumnar, 4,
-                     /*pushdown=*/true);
-      EXPECT_EQ(
-          DiffExtraction(oracle, push_col, /*compare_scan_counts=*/false), "")
-          << "factor=" << factor << " pushdown";
-      EXPECT_LE(push_col.rows_scanned, oracle.rows_scanned);
-      EXPECT_EQ(DiffExtraction(push_oracle, push_col), "")
-          << "factor=" << factor << " pushdown scan-count parity";
     }
   }
 }
@@ -205,7 +186,7 @@ TEST(ExtractionFuzzTest, RandomizedSchemasAgreeAcrossAllConfigurations) {
 // NULLs, duplicates, mixed-typed cells included) are appended, and the
 // patched extraction must match a cold run over the grown database bit
 // for bit. This drives PatchExtraction through the same hostile data the
-// parity fuzz uses, across segmentation modes and pushdown.
+// parity fuzz uses, across segmentation modes.
 TEST(ExtractionFuzzTest, AppendThenPatchMatchesColdExtraction) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     FuzzCase fc = MakeCase(seed * 0x9e3779b97f4a7c15ull + seed);
@@ -213,53 +194,49 @@ TEST(ExtractionFuzzTest, AppendThenPatchMatchesColdExtraction) {
     auto parsed = dsl::Parse(fc.datalog);
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
     for (double factor : {0.0, 2.0, 1e18}) {
-      for (const bool pushdown : {false, true}) {
-        // Keep a 70% prefix of every table; withhold the tails.
-        rel::Database db;
-        std::vector<std::pair<std::string, std::vector<rel::Row>>> tails;
-        for (const std::string& name : fc.db.TableNames()) {
-          auto tr = fc.db.GetTable(name);
-          ASSERT_TRUE(tr.ok());
-          const Table* t = *tr;
-          const size_t keep = t->NumRows() * 7 / 10;
-          Table copy(name, t->schema());
-          for (size_t i = 0; i < keep; ++i) copy.AppendUnchecked(t->row(i));
-          db.PutTable(std::move(copy));
-          auto& tail = tails.emplace_back(name, std::vector<rel::Row>{}).second;
-          for (size_t i = keep; i < t->NumRows(); ++i) {
-            tail.push_back(t->row(i));
-          }
+      // Keep a 70% prefix of every table; withhold the tails.
+      rel::Database db;
+      std::vector<std::pair<std::string, std::vector<rel::Row>>> tails;
+      for (const std::string& name : fc.db.TableNames()) {
+        auto tr = fc.db.GetTable(name);
+        ASSERT_TRUE(tr.ok());
+        const Table* t = *tr;
+        const size_t keep = t->NumRows() * 7 / 10;
+        Table copy(name, t->schema());
+        for (size_t i = 0; i < keep; ++i) copy.AppendUnchecked(t->row(i));
+        db.PutTable(std::move(copy));
+        auto& tail = tails.emplace_back(name, std::vector<rel::Row>{}).second;
+        for (size_t i = keep; i < t->NumRows(); ++i) {
+          tail.push_back(t->row(i));
         }
-        db.AnalyzeAll();
-
-        ExtractOptions opts;
-        opts.large_output_factor = factor;
-        opts.preprocess = false;
-        opts.engine = query::ExecEngine::kColumnar;
-        opts.threads = 4;
-        opts.semi_join_pushdown = pushdown;
-
-        IncrementalState captured;
-        auto base = ExtractWithCapture(db, *parsed, opts, captured);
-        ASSERT_TRUE(base.ok()) << base.status().ToString();
-        auto state = std::make_shared<IncrementalState>(std::move(captured));
-
-        for (auto& [name, rows] : tails) {
-          ASSERT_TRUE(db.AppendRows(name, rows).ok());
-        }
-        auto attempt = PatchExtraction(db, *state, opts);
-        ASSERT_TRUE(attempt.ok()) << attempt.status().ToString();
-        ASSERT_TRUE(attempt->patched)
-            << "factor=" << factor << " pushdown=" << pushdown
-            << " fell back: " << attempt->fallback_reason;
-
-        const ExtractionResult fresh =
-            RunExtract(fc, factor, query::ExecEngine::kColumnar, 4, pushdown);
-        EXPECT_EQ(DiffExtraction(fresh, attempt->result,
-                                 /*compare_scan_counts=*/false),
-                  "")
-            << "factor=" << factor << " pushdown=" << pushdown;
       }
+      db.AnalyzeAll();
+
+      ExtractOptions opts;
+      opts.large_output_factor = factor;
+      opts.preprocess = false;
+      opts.engine = query::ExecEngine::kColumnar;
+      opts.threads = 4;
+
+      IncrementalState captured;
+      auto base = ExtractWithCapture(db, *parsed, opts, captured);
+      ASSERT_TRUE(base.ok()) << base.status().ToString();
+      auto state = std::make_shared<IncrementalState>(std::move(captured));
+
+      for (auto& [name, rows] : tails) {
+        ASSERT_TRUE(db.AppendRows(name, rows).ok());
+      }
+      auto attempt = PatchExtraction(db, *state, opts);
+      ASSERT_TRUE(attempt.ok()) << attempt.status().ToString();
+      ASSERT_TRUE(attempt->patched)
+          << "factor=" << factor << " fell back: " << attempt->fallback_reason;
+
+      const ExtractionResult fresh =
+          RunExtract(fc, factor, query::ExecEngine::kColumnar, 4);
+      EXPECT_EQ(DiffExtraction(fresh, attempt->result,
+                               /*compare_scan_counts=*/false),
+                "")
+          << "factor=" << factor;
     }
   }
 }
@@ -279,15 +256,12 @@ TEST(ExtractionFuzzTest, ForcedScalarSimdTierMatchesVectorTier) {
     for (double factor : {0.0, 2.0}) {
       simd::ResetTierForTesting();
       const ExtractionResult oracle =
-          RunExtract(fc, factor, query::ExecEngine::kRowAtATime, 1,
-                     /*pushdown=*/false);
+          RunExtract(fc, factor, query::ExecEngine::kRowAtATime, 1);
       const ExtractionResult vec =
-          RunExtract(fc, factor, query::ExecEngine::kColumnar, 4,
-                     /*pushdown=*/false);
+          RunExtract(fc, factor, query::ExecEngine::kColumnar, 4);
       simd::SetTierForTesting(simd::Tier::kScalar);
       const ExtractionResult scalar =
-          RunExtract(fc, factor, query::ExecEngine::kColumnar, 4,
-                     /*pushdown=*/false);
+          RunExtract(fc, factor, query::ExecEngine::kColumnar, 4);
       EXPECT_EQ(DiffExtraction(oracle, scalar), "")
           << "factor=" << factor << " scalar tier vs row oracle";
       EXPECT_EQ(DiffExtraction(vec, scalar), "")

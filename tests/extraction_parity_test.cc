@@ -33,15 +33,13 @@ const Config kConfigs[] = {
 
 ExtractionResult RunConfig(const gen::GeneratedDatabase& data,
                            const std::string& datalog, double factor,
-                           const Config& config, ThreadPool* pool,
-                           bool semi_join_pushdown = false) {
+                           const Config& config, ThreadPool* pool) {
   ExtractOptions opts;
   opts.large_output_factor = factor;
   opts.preprocess = false;
   opts.engine = config.engine;
   opts.threads = config.threads;
   opts.pool = config.use_pool ? pool : nullptr;
-  opts.semi_join_pushdown = semi_join_pushdown;
   auto result = ExtractFromQuery(data.db, datalog, opts);
   EXPECT_TRUE(result.ok()) << config.name << ": "
                            << result.status().ToString();
@@ -61,27 +59,6 @@ void ExpectParity(const gen::GeneratedDatabase& data,
       EXPECT_EQ(DiffExtraction(oracle, got), "")
           << dataset << " factor=" << factor << " config=" << config.name;
       EXPECT_EQ(got.sql, oracle.sql) << dataset << " " << config.name;
-    }
-
-    // Semi-join pushdown: the extracted graph must be identical to the
-    // non-pushdown oracle (rows_scanned legitimately shrinks), and all
-    // engines/thread counts must agree bitwise among themselves.
-    ExtractionResult push_oracle =
-        RunConfig(data, datalog, factor, kBaseline, nullptr, true);
-    EXPECT_EQ(DiffExtraction(oracle, push_oracle,
-                             /*compare_scan_counts=*/false),
-              "")
-        << dataset << " factor=" << factor << " pushdown vs oracle";
-    EXPECT_LE(push_oracle.rows_scanned, oracle.rows_scanned)
-        << dataset << " factor=" << factor;
-    for (const Config& config : kConfigs) {
-      ExtractionResult got =
-          RunConfig(data, datalog, factor, config, &pool, true);
-      EXPECT_EQ(DiffExtraction(push_oracle, got), "")
-          << dataset << " factor=" << factor << " pushdown config="
-          << config.name;
-      EXPECT_EQ(got.sql, push_oracle.sql)
-          << dataset << " pushdown " << config.name;
     }
   }
 }

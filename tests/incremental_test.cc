@@ -2,7 +2,7 @@
 // basis by PatchExtraction must be bitwise identical (DiffExtraction with
 // compare_scan_counts=false — only the delta rows are scanned) to a cold
 // extraction against the post-append database, across key types, engines,
-// pushdown modes, preprocessing, dangling-key promotion, and repeated
+// preprocessing, dangling-key promotion, and repeated
 // patches. Non-append-safe situations must fall back softly.
 
 #include <gtest/gtest.h>
@@ -117,19 +117,15 @@ ExtractOptions BaseOptions() {
 TEST(IncrementalTest, DblpAppendParityAcrossConfigs) {
   gen::GeneratedDatabase d = gen::MakeDblpLike(300, 600, 4.0);
   for (double factor : {0.0, 2.0, 1e18}) {
-    for (bool pushdown : {false, true}) {
-      for (query::ExecEngine engine :
-           {query::ExecEngine::kColumnar, query::ExecEngine::kRowAtATime}) {
-        ExtractOptions opts = BaseOptions();
-        opts.large_output_factor = factor;
-        opts.semi_join_pushdown = pushdown;
-        opts.engine = engine;
-        const std::string label =
-            "DBLP factor=" + std::to_string(factor) +
-            " pushdown=" + std::to_string(pushdown) +
-            " engine=" + std::to_string(static_cast<int>(engine));
-        ExpectPatchParity(d.db, d.datalog, 0.9, opts, label.c_str());
-      }
+    for (query::ExecEngine engine :
+         {query::ExecEngine::kColumnar, query::ExecEngine::kRowAtATime}) {
+      ExtractOptions opts = BaseOptions();
+      opts.large_output_factor = factor;
+      opts.engine = engine;
+      const std::string label =
+          "DBLP factor=" + std::to_string(factor) +
+          " engine=" + std::to_string(static_cast<int>(engine));
+      ExpectPatchParity(d.db, d.datalog, 0.9, opts, label.c_str());
     }
   }
 }
@@ -194,18 +190,15 @@ TEST(IncrementalTest, StringKeysAndDanglingPromotion) {
   const std::string datalog =
       "Nodes(ID, Name) :- People(ID, Name).\n"
       "Edges(ID1, ID2) :- Follows(ID1, T), Follows(ID2, T).";
-  for (bool pushdown : {false, true}) {
-    ExtractOptions opts = BaseOptions();
-    opts.semi_join_pushdown = pushdown;
-    for (double factor : {0.0, 2.0, 1e18}) {
-      opts.large_output_factor = factor;
-      // keep=0.5 truncates People at p29, so follows rows for p30..p59 are
-      // dangling until the second half of People lands. Half the node set
-      // arriving as delta makes the patch scan more than cold — fine; the
-      // point here is correctness of dangling promotion, not savings.
-      ExpectPatchParity(db, datalog, 0.5, opts, "StringDangling", /*waves=*/2,
-                        /*expect_cheaper=*/false);
-    }
+  ExtractOptions opts = BaseOptions();
+  for (double factor : {0.0, 2.0, 1e18}) {
+    opts.large_output_factor = factor;
+    // keep=0.5 truncates People at p29, so follows rows for p30..p59 are
+    // dangling until the second half of People lands. Half the node set
+    // arriving as delta makes the patch scan more than cold — fine; the
+    // point here is correctness of dangling promotion, not savings.
+    ExpectPatchParity(db, datalog, 0.5, opts, "StringDangling", /*waves=*/2,
+                      /*expect_cheaper=*/false);
   }
 }
 

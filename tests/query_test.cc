@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "query/executor.h"
+#include "test_util.h"
 
 namespace graphgen::query {
 namespace {
@@ -264,6 +265,82 @@ ResultSet ExpectEngineParity(const Database& db, const PlanNode& plan) {
         << "threads=" << threads;
   }
   return std::move(oracle).ValueOrDie();
+}
+
+// ------------------------------------------- adversarial hash collisions
+
+using graphgen::testing::CollidingHash;
+using graphgen::testing::UnmixInt64;
+
+// An int64 value whose DISTINCT hash, as the only projected column, is
+// exactly `h` (the executor's DistinctHash is an FNV combine of MixInt64
+// followed by MixInt64, every step invertible). Should that hash change,
+// these tests keep checking parity, just without the forced collisions.
+int64_t ValueWithDistinctHash(uint64_t h) {
+  constexpr uint64_t kFnvOffset = 1469598103934665603ull;
+  constexpr uint64_t kFnvPrime = 1099511628211ull;
+  uint64_t inv = kFnvPrime;
+  for (int i = 0; i < 5; ++i) inv *= 2 - kFnvPrime * inv;
+  return static_cast<int64_t>(UnmixInt64((UnmixInt64(h) * inv) ^ kFnvOffset));
+}
+
+TEST(ExecutorTest, DistinctKeepsFirstOccurrencesInOneCollidingRun) {
+  // 250 keys sharing one home slot and one tag, offered 9000 times in a
+  // scrambled order: every probe walks one long run with no tag filtering,
+  // and the input is large enough for the partitioned path at 4 threads.
+  Database db;
+  Table t("T", Schema({{"v", ValueType::kInt64}}));
+  std::vector<int64_t> want;
+  std::unordered_set<int64_t> seen;
+  for (uint64_t r = 0; r < 9000; ++r) {
+    const int64_t v =
+        ValueWithDistinctHash(CollidingHash((r * 7919) % 9000 % 250, 9, 0x44));
+    t.AppendUnchecked({Value(v)});
+    if (seen.insert(v).second) want.push_back(v);
+  }
+  db.PutTable(std::move(t));
+  ProjectNode plan(std::make_unique<ScanNode>("T"), {0}, {"v"},
+                   /*distinct=*/true);
+  ResultSet rs = ExpectEngineParity(db, plan);
+  ASSERT_EQ(rs.NumRows(), 250u);
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(rs.rows[i][0].AsInt64(), want[i]) << i;
+  }
+}
+
+TEST(ExecutorTest, DistinctGrowsPastItsSeedKeepingFirstOccurrences) {
+  // 130K distinct keys: the serial first-occurrence set outgrows its 64K
+  // key seed and doubles mid-stream.
+  Database db;
+  Table t("T", Schema({{"v", ValueType::kInt64}}));
+  for (int64_t r = 0; r < 200000; ++r) {
+    t.AppendUnchecked({Value((r * 48271) % 130000)});
+  }
+  db.PutTable(std::move(t));
+  ProjectNode plan(std::make_unique<ScanNode>("T"), {0}, {"v"},
+                   /*distinct=*/true);
+  EXPECT_EQ(ExpectEngineParity(db, plan).NumRows(), 130000u);
+}
+
+TEST(ExecutorTest, JoinChainsStayAscendingOnCollidingKeys) {
+  // 150 join keys sharing one home slot and one tag, 15 rows per key on
+  // each side, scattered: the partitioned build (2250 rows) must keep each
+  // key's chain ascending so output order matches the row engine.
+  auto key = [](uint64_t i) {
+    return static_cast<int64_t>(UnmixInt64(CollidingHash(i, 7, 0x33)));
+  };
+  Database db;
+  Table a("A", Schema({{"k", ValueType::kInt64}, {"a", ValueType::kInt64}}));
+  Table b("B", Schema({{"k", ValueType::kInt64}, {"b", ValueType::kInt64}}));
+  for (int64_t r = 0; r < 2250; ++r) {
+    a.AppendUnchecked({Value(key(r * 31 % 150)), Value(r)});
+    b.AppendUnchecked({Value(key(r * 47 % 150)), Value(r)});
+  }
+  db.PutTable(std::move(a));
+  db.PutTable(std::move(b));
+  HashJoinNode join(std::make_unique<ScanNode>("A"),
+                    std::make_unique<ScanNode>("B"), 0, 0);
+  EXPECT_EQ(ExpectEngineParity(db, join).NumRows(), 150u * 15u * 15u);
 }
 
 TEST(ExecutorTest, DictStringJoinMatchesRowEngine) {

@@ -1,6 +1,7 @@
 #ifndef GRAPHGEN_TESTS_TEST_UTIL_H_
 #define GRAPHGEN_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
 #include <set>
 #include <utility>
 #include <vector>
@@ -10,6 +11,34 @@
 #include "graph/storage.h"
 
 namespace graphgen::testing {
+
+/// Inverse of MixInt64: every step of the SplitMix64 finalizer is a
+/// bijection, so a test can choose the exact hash a key will get and build
+/// adversarial collision sets for the flat hash tables.
+inline uint64_t UnmixInt64(uint64_t h) {
+  auto unxorshift = [](uint64_t y, int s) {
+    uint64_t x = y;
+    for (int i = 0; i <= 64 / s; ++i) x = y ^ (x >> s);
+    return x;
+  };
+  // Newton's iteration for the inverse of an odd constant mod 2^64.
+  auto inverse = [](uint64_t c) {
+    uint64_t inv = c;
+    for (int i = 0; i < 5; ++i) inv *= 2 - c * inv;
+    return inv;
+  };
+  uint64_t x = unxorshift(h, 31) * inverse(0x94d049bb133111ebull);
+  x = unxorshift(x, 27) * inverse(0xbf58476d1ce4e5b9ull);
+  return unxorshift(x, 30) - 0x9e3779b97f4a7c15ull;
+}
+
+/// The i-th of a family of distinct hashes that all share their low 20
+/// bits (`low`, so they claim the same home slot in any table of up to 2^20
+/// slots) and their top 7 bits (`tag`, so every probe candidate's tag
+/// matches): one occupied run with no tag filtering.
+inline uint64_t CollidingHash(uint64_t i, uint64_t low, uint64_t tag) {
+  return (tag << 57) | (i << 20) | (low & ((uint64_t{1} << 20) - 1));
+}
 
 /// Adds real node u as a symmetric member of virtual node v.
 inline void AddMember(CondensedStorage& g, NodeId u, uint32_t v) {

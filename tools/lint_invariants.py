@@ -18,6 +18,11 @@ Checks cross-cutting contracts that the compiler cannot see:
                     common/sync.h: every lock in src/ goes through the
                     annotated Mutex/SharedMutex wrappers so Clang
                     thread-safety analysis sees it.
+  5. tag-probe      The hash-table tag primitives (TagMatch16, TagEmpty16,
+                    TagOfHash) appear only in common/simd.h and
+                    common/flat_table.h: every open-addressing table
+                    probes through the one FlatTable core instead of
+                    hand-rolling its own probe loop.
 
 Exit code 0 = clean, 1 = violations (printed one per line), 2 = usage.
 
@@ -49,6 +54,12 @@ RAW_SYNC_RE = re.compile(
     r'shared_lock)\b')
 
 SYNC_ALLOWED = {os.path.join('common', 'sync.h')}
+
+TAG_PROBE_RE = re.compile(r'\b(?:TagMatch16|TagEmpty16|TagOfHash)\b')
+TAG_PROBE_ALLOWED = {
+    os.path.join('common', 'simd.h'),
+    os.path.join('common', 'flat_table.h'),
+}
 # cancel.h/cancel.cc define Charge/TryCharge/Check themselves; the
 # implementation of the contract is not a client of it.
 CHARGE_CHECK_EXEMPT = {
@@ -331,6 +342,22 @@ def check_sync_usage(src_root, root, errors):
                     f'thread-safety analysis sees the lock')
 
 
+def check_tag_probe_usage(src_root, root, errors):
+    for path in iter_source_files(src_root):
+        rel_in_src = os.path.relpath(path, src_root)
+        if rel_in_src in TAG_PROBE_ALLOWED:
+            continue
+        clean = strip_comments_and_strings(read(path))
+        for lineno, line in enumerate(clean.splitlines(), 1):
+            m = TAG_PROBE_RE.search(line)
+            if m:
+                errors.append(
+                    f'tag-probe: {relpath(path, root)}:{lineno}: '
+                    f'{m.group(0)} outside common/flat_table.h; build the '
+                    f'table on the FlatTable core (payload arrays plus an '
+                    f'equality callable) instead of a private probe loop')
+
+
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument('--root', default=None,
@@ -351,6 +378,7 @@ def main(argv):
     check_metrics(src_root, readme_text, root, errors)
     check_charge_polls(src_root, root, errors)
     check_sync_usage(src_root, root, errors)
+    check_tag_probe_usage(src_root, root, errors)
 
     if errors:
         for e in errors:

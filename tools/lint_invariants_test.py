@@ -47,6 +47,12 @@ CASES = {
         'raw std::mutex',
         'common/sync.h',
     ]),
+    'raw_tag_probe': (1, [
+        'tag-probe:',
+        'src/demo.cc:9',
+        'TagMatch16',
+        'common/flat_table.h',
+    ]),
 }
 
 
